@@ -194,7 +194,6 @@ def _train_model(kind, X, y, ns, seed) -> TrainedModel:
             max_depth=ns.max_depth,
             learning_rate=ns.learning_rate if ns.learning_rate is not None else 0.1,
             n_estimators=ns.n_estimators,
-            seed=seed,
         )
         return TrainedModel("gbt", train_gbt(X, y, cfg))
     if kind == "catboost":
@@ -204,7 +203,6 @@ def _train_model(kind, X, y, ns, seed) -> TrainedModel:
             learning_rate=ns.learning_rate if ns.learning_rate is not None else 0.1,
             iterations=ns.iterations,
             l2_leaf_reg=ns.l2_leaf_reg,
-            seed=seed,
             decode=ns.decode,
         )
         return TrainedModel("catboost", train_catboost(X, y, cfg))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateBinningError, EmptyDatasetError
-from .trees import TreeNode, fit_tree, predict_tree
+from .trees import TreeNode, fit_tree, predict_tree, presort
 
 DECODE_MODES = ("argmax", "expectation")
 
@@ -27,7 +27,6 @@ class CatBoostConfig:
     learning_rate: float = 0.1
     iterations: int = 100
     l2_leaf_reg: float = 3.0
-    seed: int = 0
     decode: str = "argmax"
 
     def __post_init__(self):
@@ -57,7 +56,8 @@ class CatModel:
         return len(self.bin_centers)
 
     def class_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        # column-major, so every tree reads each split feature contiguously
+        X = np.asfortranarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         scores = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
@@ -95,10 +95,11 @@ def bin_labels(y: np.ndarray, nbr_classes: int) -> tuple[np.ndarray, np.ndarray,
 def train_catboost(
     X: np.ndarray, y: np.ndarray, cfg: CatBoostConfig = CatBoostConfig()
 ) -> CatModel:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asfortranarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train category boosting on an empty set")
+    presorted = presort(X)
     edges, centers, labels = bin_labels(y, cfg.nbr_classes)
     n, k = X.shape[0], cfg.nbr_classes
     onehot = np.zeros((n, k), dtype=np.float64)
@@ -117,6 +118,7 @@ def train_catboost(
                 hess=hess[:, c],
                 max_depth=cfg.max_depth,
                 reg_lambda=cfg.l2_leaf_reg,
+                presorted=presorted,
             )
             scores[:, c] += cfg.learning_rate * predict_tree(tree, X)
             round_trees.append(tree)

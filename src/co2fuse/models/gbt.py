@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptyDatasetError
-from .trees import TreeNode, fit_tree, predict_tree
+from .trees import TreeNode, fit_tree, predict_tree, presort
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class GbtConfig:
     learning_rate: float = 0.1
     n_estimators: int = 100
     min_split_gain: float = 0.0  # any positive gain splits when 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1 or self.n_estimators < 1:
@@ -41,7 +40,8 @@ class GbtModel:
     train_mse: list[float] = field(default_factory=list)  # trace, not persisted
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        # column-major, so every tree reads each split feature contiguously
+        X = np.asfortranarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         pred = np.full(X.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
             pred += self.learning_rate * predict_tree(tree, X)
@@ -49,10 +49,11 @@ class GbtModel:
 
 
 def train_gbt(X: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtModel:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asfortranarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train gradient boosting on an empty set")
+    presorted = presort(X)
     base = float(y.mean())
     pred = np.full_like(y, base)
     trees: list[TreeNode] = []
@@ -67,6 +68,7 @@ def train_gbt(X: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Gbt
             max_depth=cfg.max_depth,
             reg_lambda=0.0,
             min_gain=cfg.min_split_gain,
+            presorted=presorted,
         )
         pred += cfg.learning_rate * predict_tree(tree, X)
         trees.append(tree)

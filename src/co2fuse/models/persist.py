@@ -141,6 +141,12 @@ class _LineReader:
             raise ModelFormatError(f"{self.path}: expected {tag!r} line, got {line!r}")
         return parts[1:]
 
+    def count(self, tag: str) -> int:
+        value = int(self.tagged(tag)[0])
+        if value < 0:
+            raise ModelFormatError(f"{self.path}: negative {tag} {value}")
+        return value
+
     def floats(self, tag: str) -> np.ndarray:
         try:
             return np.array([float(v) for v in self.tagged(tag)], dtype=np.float64)
@@ -149,7 +155,8 @@ class _LineReader:
 
 
 def load(path) -> TrainedModel:
-    """Load a model file; bad magic, version or payload raises ModelFormatError."""
+    """Load a model file; bad magic, version or payload, a negative count or
+    a line after the payload raises ModelFormatError."""
     r = _LineReader(path)
     head = r.next().split()
     if len(head) != 3 or head[0] != MAGIC:
@@ -181,11 +188,11 @@ def load(path) -> TrainedModel:
         elif kind == "gbt":
             base = float(r.tagged("base_score")[0])
             lr = float(r.tagged("learning_rate")[0])
-            n_trees = int(r.tagged("n_trees")[0])
+            n_trees = r.count("n_trees")
             trees = [tree_from_sexpr(r.next()) for _ in range(n_trees)]
             model = GbtModel(base_score=base, learning_rate=lr, trees=trees)
         elif kind == "catboost":
-            k = int(r.tagged("classes")[0])
+            k = r.count("classes")
             lr = float(r.tagged("learning_rate")[0])
             decode = r.tagged("decode")[0]
             if decode not in DECODE_MODES:
@@ -194,7 +201,7 @@ def load(path) -> TrainedModel:
             centers = r.floats("centers")
             if len(edges) != k + 1 or len(centers) != k:
                 raise ModelFormatError(f"{path}: bin edge/center counts do not match classes")
-            iterations = int(r.tagged("iterations")[0])
+            iterations = r.count("iterations")
             trees = [
                 [tree_from_sexpr(r.next()) for _ in range(k)] for _ in range(iterations)
             ]
@@ -228,5 +235,7 @@ def load(path) -> TrainedModel:
             model = MlpModel(weights=weights, biases=biases, l2_lambda=l2, norm=norm)
     except (ValueError, IndexError) as exc:
         raise ModelFormatError(f"{path}: malformed payload ({exc})") from exc
+    if r.pos != len(r.lines):
+        raise ModelFormatError(f"{path}: unexpected line {r.pos + 1} after the payload")
 
     return TrainedModel(kind=kind, model=model, feature_names=features)

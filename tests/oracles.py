@@ -3,10 +3,13 @@
 Everything here is written from the definitions, deliberately not sharing
 code with the package: distances use the spherical law of cosines (or a
 separately written haversine), the KNN oracle is a plain full scan with
-explicit sorting, and gradients come from central finite differences.
+explicit sorting, gradients come from central finite differences, and the
+tree builder sorts every feature again at every node.
 """
 
 import math
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -68,3 +71,65 @@ def ols_slope_intercept(xs, ys):
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return slope, my - slope * mx
+
+
+def _reference_best_split(X, g, h, reg_lambda):
+    """Best (gain, feature, threshold) at one node, re-sorting every feature."""
+    G = g.sum()
+    H = h.sum()
+    parent_score = G * G / (H + reg_lambda)
+    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+    for f in range(X.shape[1]):
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xo = xs[order]
+        boundaries = xo[1:] != xo[:-1]
+        if not boundaries.any():
+            continue
+        gl = np.cumsum(g[order])[:-1]
+        hl = np.cumsum(h[order])[:-1]
+        gr = G - gl
+        hr = H - hl
+        gains = gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent_score
+        gains[~boundaries] = -np.inf
+        i = int(np.argmax(gains))
+        if gains[i] > best_gain:
+            lo, hi = xo[i], xo[i + 1]
+            thr = 0.5 * (lo + hi)
+            if thr <= lo:  # midpoint rounded onto the lower value
+                thr = hi
+            best_gain, best_feature, best_threshold = float(gains[i]), f, float(thr)
+    return best_gain, best_feature, best_threshold
+
+
+def reference_tree_sexpr(X, grad, hess, max_depth, reg_lambda=0.0, min_gain=0.0):
+    """Exact greedy tree that sorts every feature again at every node,
+    written out directly as the s-expression ``(split f thr l r)``/``(leaf v)``."""
+    min_gain = max(min_gain, 1e-12)
+
+    def build(idx, depth):
+        g = grad[idx]
+        h = hess[idx]
+        leaf = f"(leaf {-g.sum() / (h.sum() + reg_lambda):.17g})"
+        if depth >= max_depth or idx.size < 2:
+            return leaf
+        gain, f, thr = _reference_best_split(X[idx], g, h, reg_lambda)
+        if f < 0 or gain <= min_gain:
+            return leaf
+        mask = X[idx, f] < thr
+        left = build(idx[mask], depth + 1)
+        right = build(idx[~mask], depth + 1)
+        return f"(split {f} {thr:.17g} {left} {right})"
+
+    return build(np.arange(X.shape[0]), 0)
+
+
+def predict_rows_one_at_a_time(root, X):
+    """Route each row on its own from the root to a leaf."""
+    out = []
+    for row in X:
+        node = root
+        while node.left is not None:
+            node = node.left if row[node.feature] < node.threshold else node.right
+        out.append(node.value)
+    return np.array(out, dtype=np.float64)

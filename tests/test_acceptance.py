@@ -298,8 +298,8 @@ def test_11_determinism_and_persistence(bundle, tmp_path):
         def builds():
             return [
                 TrainedModel("baseline", train_baseline(X[sub], y[sub])),
-                TrainedModel("gbt", train_gbt(X[sub], y[sub], GbtConfig(n_estimators=10, seed=3))),
-                TrainedModel("catboost", train_catboost(X[sub], y[sub], CatBoostConfig(iterations=4, seed=3))),
+                TrainedModel("gbt", train_gbt(X[sub], y[sub], GbtConfig(n_estimators=10))),
+                TrainedModel("catboost", train_catboost(X[sub], y[sub], CatBoostConfig(iterations=4))),
                 TrainedModel("mlp", train_mlp(Xs, y[sub], MlpConfig(epochs=4, seed=3), norm=stats)),
             ]
 

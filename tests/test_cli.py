@@ -255,3 +255,25 @@ def test_loaded_model_predicts_like_library(workdir):
     X, _ = fusion.design_matrix(dataset)
     preds = predict_batch(tm, X)
     assert np.all(np.isfinite(preds))
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        # one tree nested 3,000 splits deep
+        (lambda ls: ls[:-6] + ["n_trees 1",
+                               "(split 0 415 " * 3000 + "(leaf 0)" + " (leaf 1))" * 3000], 0),
+        (lambda ls: ls + ["garbage"], 2),
+        (lambda ls: ls[:-6] + ["n_trees -3"], 2),
+    ],
+    ids=["deep-tree", "trailing-line", "negative-count"],
+)
+def test_evaluate_edited_gbt_model_exit_code(workdir, tmp_path, edit, code):
+    lines = (workdir / "gbt.model").read_text().splitlines()
+    assert lines[-6] == "n_trees 5"
+    model = tmp_path / "edited.model"
+    model.write_text("\n".join(edit(lines)) + "\n")
+    assert run(
+        "evaluate", "--dataset", str(workdir / "dataset.csv"),
+        "--model-file", str(model), "--holdout-stations", "ST01",
+    ) == code

@@ -110,9 +110,9 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
     Xs = standardize(X_TRAIN, stats)
     for i, make in enumerate(
         [
-            lambda: TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=6, seed=4))),
+            lambda: TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=6))),
             lambda: TrainedModel("mlp", train_mlp(Xs, Y_TRAIN, MlpConfig(epochs=3, seed=4), norm=stats)),
-            lambda: TrainedModel("catboost", train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=3, seed=4))),
+            lambda: TrainedModel("catboost", train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=3))),
         ]
     ):
         p1 = tmp_path / f"a{i}.model"
@@ -125,3 +125,50 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
 def test_unknown_model_kind_in_wrapper():
     with pytest.raises(ValueError):
         TrainedModel("forest", train_baseline(X_TRAIN, Y_TRAIN))
+
+
+def _saved(tmp_path, tm) -> str:
+    path = tmp_path / "good.model"
+    save(tm, path)
+    return path.read_text()
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "edited.model"
+    path.write_text(text)
+    return load(path)
+
+
+def test_trailing_line_after_payload_rejected(tmp_path):
+    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=3)))
+    with pytest.raises(ModelFormatError, match="after the payload"):
+        _load_text(tmp_path, _saved(tmp_path, tm) + "garbage\n")
+
+
+def test_negative_tree_count_rejected(tmp_path):
+    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=3)))
+    # without its trees, so that no trailing line is left to reject
+    lines = _saved(tmp_path, tm).splitlines()[:-3]
+    assert lines[-1] == "n_trees 3"
+    lines[-1] = "n_trees -3"
+    with pytest.raises(ModelFormatError, match="negative n_trees"):
+        _load_text(tmp_path, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("tag", ["classes", "iterations"])
+def test_negative_catboost_counts_rejected(tmp_path, tag):
+    tm = TrainedModel("catboost", train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=2)))
+    lines = _saved(tmp_path, tm).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+    lines[at] = f"{tag} -3"
+    with pytest.raises(ModelFormatError, match=f"negative {tag}"):
+        _load_text(tmp_path, "\n".join(lines) + "\n")
+
+
+def test_deeply_nested_tree_loads(tmp_path):
+    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=1)))
+    lines = _saved(tmp_path, tm).splitlines()
+    lines[-1] = "(split 0 415 " * 3000 + "(leaf -1)" + " (leaf 1))" * 3000
+    back = _load_text(tmp_path, "\n".join(lines) + "\n")
+    v = np.full(14, 415.0)
+    assert predict(back, v) == back.model.base_score + back.model.learning_rate
