@@ -152,11 +152,7 @@ def cmd_build_dataset(args) -> int:
     catalog = ingest.read_station_catalog(ns.stations)
     series = ingest.read_station_series(ns.series)
     archive = ingest.read_weather(ns.weather, window=ns.weather_window)
-    cfg = fusion.MatchConfig(
-        max_distance_km=ns.radius_km,
-        max_time_minutes=ns.time_window_min,
-        weather_window=ns.weather_window,
-    )
+    cfg = fusion.MatchConfig(max_distance_km=ns.radius_km, max_time_minutes=ns.time_window_min)
     samples = fusion.build_dataset(soundings, catalog, series, archive, cfg)
     fusion.write_dataset(samples, ns.out)
     rate = len(samples) / len(soundings) if soundings else 0.0

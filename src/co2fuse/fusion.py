@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, time
+from datetime import datetime
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .geo import EARTH_RADIUS_KM, geodesic_km_many
 from .ingest import (
-    DEFAULT_WEATHER_WINDOW,
     SoundingRecord,
     Station,
     StationObservation,
@@ -66,7 +65,6 @@ STALE_WEATHER_HOURS = 6.0
 class MatchConfig:
     max_distance_km: float = 25.0
     max_time_minutes: float = 60.0
-    weather_window: tuple[time, time] = DEFAULT_WEATHER_WINDOW
 
     def __post_init__(self):
         if self.max_distance_km <= 0 or self.max_time_minutes <= 0:
@@ -292,7 +290,6 @@ def split_by_station(
         raise ValueError(f"holdout station id(s) not present in dataset: {sorted(unknown)}")
     train = [s for s in dataset if s.station_id not in holdout_ids]
     test = [s for s in dataset if s.station_id in holdout_ids]
-    assert not ({s.station_id for s in train} & {s.station_id for s in test})
     return train, test
 
 

@@ -7,23 +7,23 @@ handled by clamping distances below epsilon_km; when p > 0 and any selected
 neighbor is within epsilon_km the result is the mean of those coincident
 points, so querying at a measured location reproduces the measurement.
 
-Neighbor search goes through a bucketed latitude/longitude bin index with
-ring expansion; the naive full scan is kept as the fallback and as the
-reference the index is validated against. Ties at the k-th neighbor break on
-the point content (distance, then latitude, longitude, value), which makes
-every result invariant to the input ordering.
+Neighbor search has one path. The cosine of the angle to every point (one
+dot product of unit vectors) picks a small superset of the k nearest; only
+those get an exact haversine distance and are ranked. Ties at the k-th
+neighbor break on the point content (distance, then latitude, longitude,
+value), which makes every result invariant to the input ordering.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .geo import EARTH_RADIUS_KM, GeoPoint, GridSpec, cell_centers, geodesic_km_many
+from .geo import GeoPoint, GridSpec, cell_centers, geodesic_km_many
 
 # Fig-4-style ablation defaults; None means K = ALL
 DEFAULT_K_LIST: tuple[Optional[int], ...] = (10, 200, 1000, None)
@@ -61,115 +61,54 @@ class KnnParams:
             raise ValueError("epsilon_km must be > 0")
 
 
-class PointSet:
-    """Column view of a point list plus the bucketed spatial index."""
+# Slack below the k-th largest cosine when picking the points to rank. The dot
+# product and the haversine term h = sin^2(d/2) = (1 - cos d)/2 are each short
+# sums of products of factors bounded by 1, so at any angle both are off by
+# about 1e-15 at most. A cosine lower than k others' by more than 1e-12 thus
+# means an h higher by about 5e-13 whatever the rounding, and the distance
+# 2R asin(sqrt(h)) rises at least 2R per unit of h: about 6e-9 km, far above
+# its own rounding. Such a point is strictly farther than k others, so the
+# candidates always hold the k nearest and ranking them gives the full scan's.
+_COS_MARGIN = 1e-12
 
-    def __init__(self, points: Sequence[ValuedPoint], bin_deg: Optional[float] = None):
+
+def _unit_vectors(lats, lons) -> np.ndarray:
+    """(n, 3) Cartesian unit vectors of points given in degrees."""
+    lat = np.radians(lats)
+    lon = np.radians(lons)
+    return np.column_stack((np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)))
+
+
+class PointSet:
+    """Column view of a point list plus the points' unit vectors."""
+
+    def __init__(self, points: Sequence[ValuedPoint]):
         if len(points) == 0:
             raise EmptyDatasetError("interpolation needs at least one measured point")
         self.lats = np.array([p.location.latitude for p in points], dtype=np.float64)
         self.lons = np.array([p.location.longitude for p in points], dtype=np.float64)
         self.values = np.array([p.value for p in points], dtype=np.float64)
-        n = len(points)
-        if bin_deg is None:
-            # aim for a few points per bin over the occupied extent
-            lat_span = max(float(self.lats.max() - self.lats.min()), 1e-3)
-            lon_span = max(float(self.lons.max() - self.lons.min()), 1e-3)
-            bin_deg = math.sqrt(lat_span * lon_span / n) * 2.0
-            bin_deg = min(max(bin_deg, 1e-3), 10.0)
-        self.bin_deg = bin_deg
-        self.ncols = max(int(math.ceil(360.0 / bin_deg)), 1)
-        self.nrows = max(int(math.ceil(180.0 / bin_deg)), 1)
-        rows = np.clip(((self.lats + 90.0) / bin_deg).astype(np.int64), 0, self.nrows - 1)
-        cols = ((self.lons + 180.0) / bin_deg).astype(np.int64) % self.ncols
-        self._buckets: dict[tuple[int, int], np.ndarray] = {}
-        order = np.lexsort((cols, rows))
-        sr, sc = rows[order], cols[order]
-        start = 0
-        for i in range(1, n + 1):
-            if i == n or sr[i] != sr[start] or sc[i] != sc[start]:
-                self._buckets[(int(sr[start]), int(sc[start]))] = order[start:i]
-                start = i
-        # smallest cos(latitude) over the data, for the longitude distance bound
-        self._cos_min_pts = float(np.cos(np.radians(np.abs(self.lats).max())))
+        self.xyz = _unit_vectors(self.lats, self.lons)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def _ring_bound_km(self, ring: int, cos_q: float) -> float:
-        """Lower bound on the distance to any point in bins at Chebyshev ring
-        distance >= ring from the query's bin."""
-        gap_deg = max(ring - 1, 0) * self.bin_deg
-        if gap_deg <= 0.0:
-            return 0.0
-        bound_lat = EARTH_RADIUS_KM * math.radians(gap_deg)
-        half = math.radians(min(gap_deg, 180.0)) / 2.0
-        c = math.sqrt(max(cos_q * self._cos_min_pts, 0.0))
-        bound_lon = 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, c * math.sin(half)))
-        return min(bound_lat, bound_lon)
-
-    def _ring_cells(self, row0: int, col0: int, ring: int) -> Iterable[tuple[int, int]]:
-        if ring == 0:
-            yield row0, col0 % self.ncols
-            return
-        for dr in range(-ring, ring + 1):
-            row = row0 + dr
-            if not 0 <= row < self.nrows:
-                continue
-            if abs(dr) == ring:
-                cols = range(-ring, ring + 1)
-            else:
-                cols = (-ring, ring)
-            for dc in cols:
-                yield row, (col0 + dc) % self.ncols
 
     def k_nearest(self, query: GeoPoint, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the k nearest points (content-tie order)."""
         n = len(self)
         k = min(k, n)
-        row0 = min(max(int((query.latitude + 90.0) / self.bin_deg), 0), self.nrows - 1)
-        col0 = int((query.longitude + 180.0) / self.bin_deg)
-        cos_q = math.cos(math.radians(query.latitude))
-        max_ring = max(self.nrows, self.ncols // 2 + 1) + 1
-
-        cand_idx: list[np.ndarray] = []
-        cand_dist: list[np.ndarray] = []
-        count = 0
-        kth_best = math.inf
-        seen: set[tuple[int, int]] = set()
-        for ring in range(max_ring + 1):
-            batch = []
-            for cell in self._ring_cells(row0, col0, ring):
-                if cell in seen:
-                    continue
-                seen.add(cell)
-                bucket = self._buckets.get(cell)
-                if bucket is not None:
-                    batch.append(bucket)
-            if batch:
-                idx = np.concatenate(batch)
-                dist = geodesic_km_many(query, self.lats[idx], self.lons[idx])
-                cand_idx.append(idx)
-                cand_dist.append(dist)
-                count += idx.size
-                if count >= k:
-                    all_dist = np.concatenate(cand_dist)
-                    kth_best = float(np.partition(all_dist, k - 1)[k - 1])
-            if count >= k and self._ring_bound_km(ring + 1, cos_q) > kth_best:
-                break
-
-        idx = np.concatenate(cand_idx)
-        dist = np.concatenate(cand_dist)
+        if k < n:
+            # the largest cosines are the nearest points; rank a superset of
+            # the k largest by exact distance (see _COS_MARGIN)
+            cos = self.xyz @ _unit_vectors([query.latitude], [query.longitude])[0]
+            kth = np.partition(cos, n - k)[n - k]
+            idx = np.flatnonzero(cos >= kth - _COS_MARGIN)
+        else:
+            idx = np.arange(n)
+        dist = geodesic_km_many(query, self.lats[idx], self.lons[idx])
         order = np.lexsort((self.values[idx], self.lons[idx], self.lats[idx], dist))
         pick = order[:k]
         return idx[pick], dist[pick]
-
-    def k_nearest_fullscan(self, query: GeoPoint, k: int) -> tuple[np.ndarray, np.ndarray]:
-        k = min(k, len(self))
-        dist = geodesic_km_many(query, self.lats, self.lons)
-        order = np.lexsort((self.values, self.lons, self.lats, dist))
-        pick = order[:k]
-        return pick, dist[pick]
 
 
 def _weighted_value(dist: np.ndarray, values: np.ndarray, params: KnnParams) -> float:
@@ -186,7 +125,6 @@ def knn_interpolate(
     points: Sequence[ValuedPoint] | PointSet,
     query: GeoPoint,
     params: KnnParams,
-    use_index: bool = True,
 ) -> float:
     """Interpolated ppm value at `query` from the measured points."""
     ps = points if isinstance(points, PointSet) else PointSet(points)
@@ -195,10 +133,7 @@ def knn_interpolate(
         # uniform weights over every point: the query-independent global
         # mean, summed in a canonical order so every cell gets the same bits
         return float(np.sort(ps.values).mean())
-    if use_index and k < len(ps):
-        idx, dist = ps.k_nearest(query, k)
-    else:
-        idx, dist = ps.k_nearest_fullscan(query, k)
+    idx, dist = ps.k_nearest(query, k)
     return _weighted_value(dist, ps.values[idx], params)
 
 

@@ -24,7 +24,7 @@ from .baseline import LinearModel
 from .category import DECODE_MODES, CatModel
 from .gbt import GbtModel
 from .mlp import MlpModel
-from .trees import tree_from_sexpr, tree_to_sexpr
+from .trees import TreeNode, tree_from_sexpr, tree_to_sexpr
 
 MAGIC = "CO2FUSE-MODEL"
 FORMAT_VERSION = "v1"
@@ -147,6 +147,22 @@ class _LineReader:
             raise ModelFormatError(f"{self.path}: negative {tag} {value}")
         return value
 
+    def tree(self) -> TreeNode:
+        """Parse the next line as a tree whose splits read canonical features."""
+        root = tree_from_sexpr(self.next())
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                continue
+            if not 0 <= node.feature < len(FEATURE_NAMES):
+                raise ModelFormatError(
+                    f"{self.path}: split on feature {node.feature}, "
+                    f"outside 0..{len(FEATURE_NAMES) - 1}"
+                )
+            stack += [node.left, node.right]
+        return root
+
     def floats(self, tag: str) -> np.ndarray:
         try:
             return np.array([float(v) for v in self.tagged(tag)], dtype=np.float64)
@@ -155,8 +171,9 @@ class _LineReader:
 
 
 def load(path) -> TrainedModel:
-    """Load a model file; bad magic, version or payload, a negative count or
-    a line after the payload raises ModelFormatError."""
+    """Load a model file; bad magic, version or payload, a negative count, a
+    split on a feature outside the canonical list or a line after the payload
+    raises ModelFormatError."""
     r = _LineReader(path)
     head = r.next().split()
     if len(head) != 3 or head[0] != MAGIC:
@@ -189,7 +206,7 @@ def load(path) -> TrainedModel:
             base = float(r.tagged("base_score")[0])
             lr = float(r.tagged("learning_rate")[0])
             n_trees = r.count("n_trees")
-            trees = [tree_from_sexpr(r.next()) for _ in range(n_trees)]
+            trees = [r.tree() for _ in range(n_trees)]
             model = GbtModel(base_score=base, learning_rate=lr, trees=trees)
         elif kind == "catboost":
             k = r.count("classes")
@@ -203,7 +220,7 @@ def load(path) -> TrainedModel:
                 raise ModelFormatError(f"{path}: bin edge/center counts do not match classes")
             iterations = r.count("iterations")
             trees = [
-                [tree_from_sexpr(r.next()) for _ in range(k)] for _ in range(iterations)
+                [r.tree() for _ in range(k)] for _ in range(iterations)
             ]
             model = CatModel(
                 bin_edges=edges, bin_centers=centers, learning_rate=lr,

@@ -4,12 +4,16 @@ Everything here is written from the definitions, deliberately not sharing
 code with the package: distances use the spherical law of cosines (or a
 separately written haversine), the KNN oracle is a plain full scan with
 explicit sorting, gradients come from central finite differences, and the
-tree builder sorts every feature again at every node.
+tree builder sorts every feature again at every node. The one exception is
+``fullscan_k_nearest``: it pins the bits of the library's neighbour search,
+so it ranks every point by the library's own haversine kernel.
 """
 
 import math
 
 import numpy as np
+
+from co2fuse.geo import geodesic_km_many
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -51,6 +55,14 @@ def naive_knn(points, qlat, qlon, k, p, epsilon_km=1e-6):
     weights = [1.0 / max(d, epsilon_km) ** p for d, _, _, _ in chosen]
     total = sum(weights)
     return sum(w * v for w, (_, _, _, v) in zip(weights, chosen)) / total
+
+
+def fullscan_k_nearest(lats, lons, values, query, k):
+    """(idx, dist) of the k nearest points by a full scan: every distance,
+    then one sort on (distance, lat, lon, value), stable in index order."""
+    dist = geodesic_km_many(query, lats, lons)
+    pick = np.lexsort((values, lons, lats, dist))[: min(k, len(values))]
+    return pick, dist[pick]
 
 
 def central_difference(f, x, i, h=1e-5):

@@ -126,7 +126,7 @@ def test_02_metric_identities():
 
 
 def test_03_knn_oracle_equivalence():
-    with criterion(3, "indexed interpolation matches the naive full-scan oracle"):
+    with criterion(3, "interpolation matches the naive full-scan oracle"):
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(2, 500))
@@ -141,7 +141,7 @@ def test_03_knn_oracle_equivalence():
             q = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-179, 179)))
             k = int(rng.integers(1, n + 1))
             p = float(rng.choice([0.0, 0.05, 0.2, 1.0, 2.0]))
-            got = knn_interpolate(ps, q, KnnParams(k=k, p=p), use_index=True)
+            got = knn_interpolate(ps, q, KnnParams(k=k, p=p))
             want = naive_knn(list(zip(lats, lons, values)), q.latitude, q.longitude, k, p)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
         # K = ALL with p = 0 must collapse to one exact global mean

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from co2fuse.errors import EmptyDatasetError
 from co2fuse.geo import BoundingBox, GeoPoint, GridSpec, cell_centers
@@ -18,7 +20,7 @@ from co2fuse.interpolate import (
     write_pgm,
 )
 
-from oracles import naive_knn
+from oracles import fullscan_k_nearest, naive_knn
 
 DEG_PER_KM = 180.0 / (math.pi * 6371.0)
 
@@ -91,9 +93,64 @@ def test_index_matches_naive_oracle_on_random_instances():
             q = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-179, 179)))
             k = int(rng.integers(1, n + 1))
             p = float(rng.choice([0.0, 0.2, 1.0, 2.0]))
-            got = knn_interpolate(ps, q, KnnParams(k=k, p=p), use_index=True)
+            got = knn_interpolate(ps, q, KnnParams(k=k, p=p))
             want = naive_knn(raw, q.latitude, q.longitude, k, p)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+# queries at the poles, on and next to the antimeridian, and elsewhere
+QUERY_SITES = ((90.0, 0.0), (-90.0, 37.5), (0.0, 180.0), (12.5, -179.75), (45.25, 10.5))
+
+
+@st.composite
+def tie_prone_searches(draw):
+    """A query and points built to tie with each other: duplicated and
+    coincident points, a 0.25-degree lattice around the query (so points
+    mirrored across it lie on equal-distance rings), poles, both sides of the
+    antimeridian and the query's antipode, with values from a short list."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qlat, qlon = draw(st.sampled_from(QUERY_SITES))
+    values = draw(st.sampled_from(((410.0,), (400.0, 410.0), (400.0, 405.0, 410.0, 415.0))))
+    points = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(
+            ("lattice", "duplicate", "coincident", "pole", "antimeridian", "antipode", "real")
+        ))
+        if kind == "duplicate" and points:
+            twin = points[int(rng.integers(len(points)))].location
+            lat, lon = twin.latitude, twin.longitude
+        elif kind == "coincident":
+            lat, lon = qlat, qlon
+        elif kind == "pole":
+            lat, lon = float(rng.choice((-90.0, 90.0))), 0.25 * int(rng.integers(-720, 720))
+        elif kind == "antimeridian":
+            lat = 0.25 * int(rng.integers(-8, 9))
+            lon = float(rng.choice((180.0, -180.0))) + 0.25 * int(rng.integers(-2, 3))
+        elif kind == "antipode":
+            lat = float(np.clip(-qlat + 0.25 * int(rng.integers(-2, 3)), -90.0, 90.0))
+            lon = qlon + 180.0 + 0.25 * int(rng.integers(-2, 3))
+        elif kind == "real":
+            lat, lon = float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))
+        else:
+            lat = float(np.clip(qlat + 0.25 * int(rng.integers(-4, 5)), -90.0, 90.0))
+            lon = qlon + 0.25 * int(rng.integers(-4, 5))
+        points.append(vp(lat, lon, float(rng.choice(values))))
+    return points, GeoPoint(qlat, qlon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_prone_searches())
+def test_k_nearest_matches_fullscan_oracle_bit_for_bit(search):
+    points, query = search
+    ps = PointSet(points)
+    lats = np.array([p.location.latitude for p in points])
+    lons = np.array([p.location.longitude for p in points])
+    values = np.array([p.value for p in points])
+    for k in range(1, len(points) + 1):
+        idx, dist = ps.k_nearest(query, k)
+        want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
+        assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes(), k
+        assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes(), k
 
 
 def test_convexity_of_estimates():
@@ -125,7 +182,7 @@ def test_permutation_invariance_exact():
 
 
 def test_antimeridian_neighbors_found():
-    # the index must see across the date line
+    # the search must see across the date line
     pts = [vp(0.0, 179.9, 100.0), vp(0.0, -179.9, 200.0), vp(0.0, 0.0, 300.0)]
     got = knn_interpolate(pts, GeoPoint(0.0, -179.95), KnnParams(k=2, p=0.0))
     assert got == pytest.approx(150.0)
@@ -143,7 +200,7 @@ def test_index_matches_oracle_across_antimeridian():
         q = GeoPoint(float(rng.uniform(-40, 40)),
                      float(rng.choice([179.7, -179.7, 178.0, -178.0])))
         k = int(rng.integers(1, n + 1))
-        got = knn_interpolate(PointSet(pts), q, KnnParams(k=k, p=1.0), use_index=True)
+        got = knn_interpolate(PointSet(pts), q, KnnParams(k=k, p=1.0))
         want = naive_knn(list(zip(lats, lons, values)), q.latitude, q.longitude, k, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -158,7 +215,7 @@ def test_index_matches_oracle_near_poles():
         pts = [vp(float(a), float(b), float(v)) for a, b, v in zip(lats, lons, values)]
         q = GeoPoint(float(rng.uniform(80, 90)), float(rng.uniform(-179, 179)))
         k = int(rng.integers(1, n + 1))
-        got = knn_interpolate(PointSet(pts), q, KnnParams(k=k, p=0.5), use_index=True)
+        got = knn_interpolate(PointSet(pts), q, KnnParams(k=k, p=0.5))
         want = naive_knn(list(zip(lats, lons, values)), q.latitude, q.longitude, k, 0.5)
         assert got == pytest.approx(want, rel=1e-9)
 

@@ -165,6 +165,15 @@ def test_negative_catboost_counts_rejected(tmp_path, tag):
         _load_text(tmp_path, "\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("feature", [99, 14, -1])
+def test_split_feature_outside_canonical_list_rejected(tmp_path, feature):
+    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=1)))
+    lines = _saved(tmp_path, tm).splitlines()
+    lines[-1] = f"(split 0 415 (leaf 1) (split {feature} 0.5 (leaf 1) (leaf 2)))"
+    with pytest.raises(ModelFormatError, match=f"feature {feature}, outside 0..13"):
+        _load_text(tmp_path, "\n".join(lines) + "\n")
+
+
 def test_deeply_nested_tree_loads(tmp_path):
     tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=1)))
     lines = _saved(tmp_path, tm).splitlines()
