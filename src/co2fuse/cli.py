@@ -8,12 +8,17 @@ flags win over config values and unknown config keys are errors.
 All randomness derives from the single --seed flag plus a fixed per-command
 offset (train +1, synth +2, importance +3; the other commands draw nothing).
 
+With -v/--verbose (before the subcommand) the INFO log lines go to stderr:
+rows dropped as malformed or by the quality flag or the weather window, and
+the match funnel. stdout is the same with or without it.
+
 Exit codes: 0 success, 2 bad input or schema, 3 empty data, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from types import SimpleNamespace
 
@@ -452,6 +457,8 @@ def _add_common(p):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="co2fuse", description=__doc__.splitlines()[0])
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log input counts and the match funnel to stderr")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("build-dataset", help="match soundings to stations and weather")
@@ -541,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         return args.func(args)
     except (EmptyDatasetError, NoDataError) as exc:

@@ -9,9 +9,16 @@ points, so querying at a measured location reproduces the measurement.
 
 Neighbor search has one path. The cosine of the angle to every point (one
 dot product of unit vectors) picks a small superset of the k nearest; only
-those get an exact haversine distance and are ranked. Ties at the k-th
-neighbor break on the point content (distance, then latitude, longitude,
-value), which makes every result invariant to the input ordering.
+those get an exact haversine distance and are ranked. Ties break on the
+point content (distance, then latitude, longitude, value), which makes every
+result invariant to the input ordering: PointSet sorts its points once by
+(latitude, longitude, value), and each search ranks its candidates, taken in
+that canonical order, with one stable sort on distance. Points equal in all
+four keys keep their input order.
+
+A raster, or a whole K x p sweep, ranks each cell once: every (K, p) pair
+reads a prefix of one ranking made for the largest K any pair needs. The
+order is total, so a prefix is exactly the smaller K's result.
 """
 
 from __future__ import annotations
@@ -80,21 +87,29 @@ def _unit_vectors(lats, lons) -> np.ndarray:
 
 
 class PointSet:
-    """Column view of a point list plus the points' unit vectors."""
+    """Columns of a point list in canonical (latitude, longitude, value) order.
+
+    `order` maps a canonical position to the point's input index. `lats`,
+    `lons` and the unit vectors `xyz` are in canonical order, for the search;
+    `values` stay in input order, to be read by the indices k_nearest returns.
+    """
 
     def __init__(self, points: Sequence[ValuedPoint]):
         if len(points) == 0:
             raise EmptyDatasetError("interpolation needs at least one measured point")
-        self.lats = np.array([p.location.latitude for p in points], dtype=np.float64)
-        self.lons = np.array([p.location.longitude for p in points], dtype=np.float64)
+        lats = np.array([p.location.latitude for p in points], dtype=np.float64)
+        lons = np.array([p.location.longitude for p in points], dtype=np.float64)
         self.values = np.array([p.value for p in points], dtype=np.float64)
+        self.order = np.lexsort((self.values, lons, lats))
+        self.lats = lats[self.order]
+        self.lons = lons[self.order]
         self.xyz = _unit_vectors(self.lats, self.lons)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def k_nearest(self, query: GeoPoint, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the k nearest points (content-tie order)."""
+        """Input indices and distances of the k nearest points (content-tie order)."""
         n = len(self)
         k = min(k, n)
         if k < n:
@@ -102,13 +117,15 @@ class PointSet:
             # the k largest by exact distance (see _COS_MARGIN)
             cos = self.xyz @ _unit_vectors([query.latitude], [query.longitude])[0]
             kth = np.partition(cos, n - k)[n - k]
-            idx = np.flatnonzero(cos >= kth - _COS_MARGIN)
+            pos = np.flatnonzero(cos >= kth - _COS_MARGIN)
+            dist = geodesic_km_many(query, self.lats[pos], self.lons[pos])
         else:
-            idx = np.arange(n)
-        dist = geodesic_km_many(query, self.lats[idx], self.lons[idx])
-        order = np.lexsort((self.values[idx], self.lons[idx], self.lats[idx], dist))
-        pick = order[:k]
-        return idx[pick], dist[pick]
+            pos = np.arange(n)
+            dist = geodesic_km_many(query, self.lats, self.lons)
+        # candidates are in canonical order, so a stable sort on distance
+        # ranks them on (distance, latitude, longitude, value)
+        pick = np.argsort(dist, kind="stable")[:k]
+        return self.order[pos[pick]], dist[pick]
 
 
 def _weighted_value(dist: np.ndarray, values: np.ndarray, params: KnnParams) -> float:
@@ -121,6 +138,32 @@ def _weighted_value(dist: np.ndarray, values: np.ndarray, params: KnnParams) -> 
     return float(w @ values)
 
 
+def _interpolate(
+    ps: PointSet, queries: Sequence[GeoPoint], pairs: Sequence[KnnParams]
+) -> np.ndarray:
+    """(len(pairs), len(queries)) interpolated values; each query is ranked
+    once, for the largest K that a pair needs, and every pair reads a prefix."""
+    n = len(ps)
+    out = np.empty((len(pairs), len(queries)), dtype=np.float64)
+    ks = [n if params.k is None else min(params.k, n) for params in pairs]
+    ranked = []
+    for row, (k, params) in enumerate(zip(ks, pairs)):
+        if params.p == 0.0 and k == n:
+            # uniform weights over every point: the query-independent global
+            # mean, summed in a canonical order so every cell gets the same bits
+            out[row] = float(np.sort(ps.values).mean())
+        else:
+            ranked.append((row, k, params))
+    if ranked:
+        k_max = max(k for _, k, _ in ranked)
+        for col, query in enumerate(queries):
+            idx, dist = ps.k_nearest(query, k_max)
+            values = ps.values[idx]
+            for row, k, params in ranked:
+                out[row, col] = _weighted_value(dist[:k], values[:k], params)
+    return out
+
+
 def knn_interpolate(
     points: Sequence[ValuedPoint] | PointSet,
     query: GeoPoint,
@@ -128,13 +171,7 @@ def knn_interpolate(
 ) -> float:
     """Interpolated ppm value at `query` from the measured points."""
     ps = points if isinstance(points, PointSet) else PointSet(points)
-    k = len(ps) if params.k is None else min(params.k, len(ps))
-    if params.p == 0.0 and k == len(ps):
-        # uniform weights over every point: the query-independent global
-        # mean, summed in a canonical order so every cell gets the same bits
-        return float(np.sort(ps.values).mean())
-    idx, dist = ps.k_nearest(query, k)
-    return _weighted_value(dist, ps.values[idx], params)
+    return float(_interpolate(ps, [query], [params])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -162,16 +199,20 @@ class Grid:
         return float(self.values.std())
 
 
+def rasterize_many(
+    points: Sequence[ValuedPoint] | PointSet, spec: GridSpec, pairs: Sequence[KnnParams]
+) -> list[Grid]:
+    """One grid per KnnParams pair, every cell ranked once for all of them."""
+    ps = points if isinstance(points, PointSet) else PointSet(points)
+    values = _interpolate(ps, cell_centers(spec), pairs)
+    return [Grid(spec=spec, values=row) for row in values]
+
+
 def rasterize(
     points: Sequence[ValuedPoint] | PointSet, spec: GridSpec, params: KnnParams
 ) -> Grid:
     """knn_interpolate at every cell center of the grid."""
-    ps = points if isinstance(points, PointSet) else PointSet(points)
-    centers = cell_centers(spec)
-    values = np.array(
-        [knn_interpolate(ps, c, params) for c in centers], dtype=np.float64
-    )
-    return Grid(spec=spec, values=values)
+    return rasterize_many(points, spec, [params])[0]
 
 
 @dataclass(frozen=True)
@@ -199,13 +240,12 @@ def sweep(
     """One rasterization per (k, p) pair; rows are k-major."""
     if not k_list or not p_list:
         raise ValueError("sweep needs non-empty k and p lists")
-    ps = points if isinstance(points, PointSet) else PointSet(points)
-    rows = []
-    for k in k_list:
-        for p in p_list:
-            grid = rasterize(ps, spec, KnnParams(k=k, p=p, epsilon_km=epsilon_km))
-            rows.append(SweepRow(k=k, p=p, mean_ppm=grid.mean, std_ppm=grid.std))
-    return rows
+    pairs = [KnnParams(k=k, p=p, epsilon_km=epsilon_km) for k in k_list for p in p_list]
+    grids = rasterize_many(points, spec, pairs)
+    return [
+        SweepRow(k=params.k, p=params.p, mean_ppm=grid.mean, std_ppm=grid.std)
+        for params, grid in zip(pairs, grids)
+    ]
 
 
 def write_grid_csv(grid: Grid, path) -> None:

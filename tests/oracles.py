@@ -4,16 +4,18 @@ Everything here is written from the definitions, deliberately not sharing
 code with the package: distances use the spherical law of cosines (or a
 separately written haversine), the KNN oracle is a plain full scan with
 explicit sorting, gradients come from central finite differences, and the
-tree builder sorts every feature again at every node. The one exception is
-``fullscan_k_nearest``: it pins the bits of the library's neighbour search,
-so it ranks every point by the library's own haversine kernel.
+tree builder sorts every feature again at every node. The exceptions are
+``fullscan_k_nearest`` and ``reference_sweep``: they pin the bits of the
+library's neighbour search and sweep, so they rank every point by the
+library's own haversine kernel and take grid statistics from its Grid.
 """
 
 import math
 
 import numpy as np
 
-from co2fuse.geo import geodesic_km_many
+from co2fuse.geo import cell_centers, geodesic_km_many
+from co2fuse.interpolate import Grid
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -63,6 +65,41 @@ def fullscan_k_nearest(lats, lons, values, query, k):
     dist = geodesic_km_many(query, lats, lons)
     pick = np.lexsort((values, lons, lats, dist))[: min(k, len(values))]
     return pick, dist[pick]
+
+
+def reference_sweep(points, spec, k_list, p_list, epsilon_km=1e-6):
+    """The sweep as one rasterization per (k, p) pair, k-major, with every
+    cell ranked anew by the full scan and weighted by w = 1/max(d, eps)^p.
+
+    Returns ([(k, p, mean, std)], [grid values]); mean and std are the
+    library Grid's, so only the ranking and the weighting are re-derived.
+    """
+    lats = np.array([q.location.latitude for q in points])
+    lons = np.array([q.location.longitude for q in points])
+    values = np.array([q.value for q in points])
+    n = len(values)
+    rows, grids = [], []
+    for k in k_list:
+        for p in p_list:
+            k_eff = n if k is None else min(k, n)
+            cells = []
+            for center in cell_centers(spec):
+                if p == 0.0 and k_eff == n:
+                    cells.append(float(np.sort(values).mean()))
+                    continue
+                idx, dist = fullscan_k_nearest(lats, lons, values, center, k_eff)
+                near = values[idx]
+                coincident = dist <= epsilon_km
+                if p > 0.0 and coincident.any():
+                    cells.append(float(near[coincident].mean()))
+                    continue
+                w = 1.0 / np.maximum(dist, epsilon_km) ** p
+                w = w / w.sum()
+                cells.append(float(w @ near))
+            grid = Grid(spec=spec, values=np.array(cells, dtype=np.float64))
+            rows.append((k, p, grid.mean, grid.std))
+            grids.append(grid.values)
+    return rows, grids
 
 
 def central_difference(f, x, i, h=1e-5):

@@ -1,7 +1,13 @@
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from co2fuse import cli, fusion
 from co2fuse.models import load, predict_batch
@@ -279,3 +285,93 @@ def test_evaluate_edited_gbt_model_exit_code(workdir, tmp_path, edit, code):
         "evaluate", "--dataset", str(workdir / "dataset.csv"),
         "--model-file", str(model), "--holdout-stations", "ST01",
     ) == code
+
+
+def _run_subprocess(*argv):
+    """`python -m co2fuse.cli argv` in a fresh interpreter, so that the
+    logging configuration starts from nothing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "co2fuse.cli", *argv], capture_output=True, env=env, check=False
+    )
+
+
+def test_verbose_logs_to_stderr_and_keeps_stdout(small_campaign_dir, tmp_path):
+    camp = small_campaign_dir
+    build = (
+        "build-dataset",
+        "--soundings", str(camp / "soundings.csv"),
+        "--stations", str(camp / "stations.csv"),
+        "--series", str(camp / "station_series.csv"),
+        "--weather", str(camp / "weather.csv"),
+        "--out", str(tmp_path / "dataset.csv"),
+    )
+    quiet = _run_subprocess(*build)
+    loud = _run_subprocess("-v", *build)
+    assert quiet.returncode == loud.returncode == 0
+    assert loud.stdout == quiet.stdout
+    drop_line = b"sounding(s) failing the quality flag"
+    assert drop_line in loud.stderr
+    assert drop_line not in quiet.stderr
+
+
+# byte edits of a file: replace, insert or delete one byte, or cut the file
+EDIT = st.tuples(
+    st.sampled_from(("replace", "insert", "delete", "truncate")),
+    st.integers(0, 2**31),
+    st.binary(min_size=1, max_size=1),
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for op, at, byte in edits:
+        i = at % (len(data) + 1)
+        if op == "replace" and i < len(data):
+            data = data[:i] + byte + data[i + 1:]
+        elif op == "insert":
+            data = data[:i] + byte + data[i:]
+        elif op == "delete":
+            data = data[:i] + data[i + 1:]
+        elif op == "truncate":
+            data = data[:i]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+FUZZ_CONFIG = b"# quick baseline\nmodel = baseline\nholdout_stations = ST01\nseed = 7\n"
+
+
+def _fuzz_command(target, workdir, path, out):
+    """The command that reads the mutated file at `path`."""
+    dataset = str(workdir / "dataset.csv")
+    if target == "dataset":
+        return ["train", "--dataset", str(path), "--model", "baseline",
+                "--holdout-stations", "ST01", "--out", str(out)]
+    if target == "config":
+        return ["train", "--config", str(path), "--dataset", dataset, "--out", str(out)]
+    return ["evaluate", "--dataset", dataset, "--model-file", str(path),
+            "--holdout-stations", "ST01", "--out", str(out)]
+
+
+@pytest.mark.parametrize("target", ["gbt.model", "mlp.model", "catboost.model", "dataset", "config"])
+@settings(max_examples=180, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(EDIT, min_size=1, max_size=6))
+def test_mutated_input_bytes_give_an_exit_code(target, workdir, fuzz_dir, edits):
+    if target == "config":
+        original = FUZZ_CONFIG
+    elif target == "dataset":
+        original = (workdir / "dataset.csv").read_bytes()
+    else:
+        original = (workdir / target).read_bytes()
+    path = fuzz_dir / f"mutated.{target}"
+    path.write_bytes(_mutate(original, edits))
+    code = run(*_fuzz_command(target, workdir, path, fuzz_dir / "out"))
+    # an edit that keeps the file valid (a changed digit) still succeeds
+    assert code in (0, 2, 3)

@@ -14,13 +14,14 @@ from co2fuse.interpolate import (
     ValuedPoint,
     knn_interpolate,
     rasterize,
+    rasterize_many,
     sweep,
     write_ascii_grid,
     write_grid_csv,
     write_pgm,
 )
 
-from oracles import fullscan_k_nearest, naive_knn
+from oracles import fullscan_k_nearest, naive_knn, reference_sweep
 
 DEG_PER_KM = 180.0 / (math.pi * 6371.0)
 
@@ -151,6 +152,45 @@ def test_k_nearest_matches_fullscan_oracle_bit_for_bit(search):
         want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
         assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes(), k
         assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes(), k
+
+
+@st.composite
+def tie_prone_sweeps(draw):
+    """Tie-prone points, a grid of up to 3 x 3 cells of 0.25 degrees around
+    the query site, and k and p lists: unsorted, with duplicates, k beyond
+    the point count, K = all present or not, p = 0 present or not. Values
+    are either from a short list or all distinct, so that sums of them
+    depend on the order they are added in."""
+    points, query = draw(tie_prone_searches())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        points = [ValuedPoint(q.location, float(rng.normal(410.0, 5.0))) for q in points]
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    south = float(np.clip(query.latitude - 0.25, -90.0, 90.0 - 0.25 * rows))
+    west = float(np.clip(query.longitude - 0.25, -180.0, 180.0 - 0.25 * cols))
+    spec = GridSpec(BoundingBox(south, west, south + 0.25 * rows, west + 0.25 * cols), 0.25)
+    k_list = draw(st.lists(st.one_of(st.none(), st.integers(1, 45)), min_size=1, max_size=5))
+    p_list = draw(st.lists(st.sampled_from((0.0, 0.05, 0.2, 1.0, 2.0)), min_size=1, max_size=4))
+    return points, spec, k_list, p_list
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_prone_sweeps())
+def test_sweep_matches_per_pair_oracle_bit_for_bit(case):
+    points, spec, k_list, p_list = case
+    want_rows, want_grids = reference_sweep(points, spec, k_list, p_list)
+    rows = sweep(points, spec, k_list, p_list)
+    assert [(r.k, r.p) for r in rows] == [(k, p) for k, p, _, _ in want_rows]
+    for row, (_, _, mean, std) in zip(rows, want_rows):
+        assert _bits(row.mean_ppm) == _bits(mean) and _bits(row.std_ppm) == _bits(std), row
+    pairs = [KnnParams(k=k, p=p) for k in k_list for p in p_list]
+    grids = rasterize_many(points, spec, pairs)
+    for params, grid, want in zip(pairs, grids, want_grids):
+        assert grid.values.tobytes() == want.tobytes(), params
 
 
 def test_convexity_of_estimates():
