@@ -137,9 +137,6 @@ class WeatherArchive:
     def nodes(self) -> list[GeoPoint]:
         return [GeoPoint(lat, lon) for lat, lon in self._node_keys]
 
-    def series_at(self, node: GeoPoint) -> list[WeatherSample]:
-        return self._by_node.get((node.latitude, node.longitude), [])
-
     def node_series(self, index: int) -> tuple[list, list[WeatherSample]]:
         """Sorted times and samples of node `index` (order of `nodes`)."""
         return self._node_times[index], self._by_node[self._node_keys[index]]

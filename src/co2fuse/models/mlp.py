@@ -81,7 +81,16 @@ class MlpModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.norm is not None and not standardized:
             X = standardize(X, self.norm)
-        return self.forward(X)[0]
+        # the arithmetic of forward, with the bias and ReLU applied in place
+        # and no activations kept
+        h = X
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w
+            h += b
+            if i != last:
+                np.maximum(h, 0.0, out=h)
+        return h[:, 0]
 
 
 def init_mlp(

@@ -14,6 +14,7 @@ MLP weight matrices row-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,32 +149,48 @@ class _LineReader:
         return value
 
     def tree(self) -> TreeNode:
-        """Parse the next line as a tree whose splits read canonical features."""
+        """Parse the next line as a tree whose splits read canonical features
+        and whose thresholds and leaves are finite."""
         root = tree_from_sexpr(self.next())
         stack = [root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
+                if not math.isfinite(node.value):
+                    raise ModelFormatError(f"{self.path}: non-finite leaf value {node.value}")
                 continue
             if not 0 <= node.feature < len(FEATURE_NAMES):
                 raise ModelFormatError(
                     f"{self.path}: split on feature {node.feature}, "
                     f"outside 0..{len(FEATURE_NAMES) - 1}"
                 )
+            if not math.isfinite(node.threshold):
+                raise ModelFormatError(f"{self.path}: non-finite threshold {node.threshold}")
             stack += [node.left, node.right]
         return root
 
+    def finite(self, values, what: str):
+        """``values`` unchanged if every one is finite (nan and inf parse as
+        floats, but no trained model holds them)."""
+        if not np.all(np.isfinite(values)):
+            raise ModelFormatError(f"{self.path}: non-finite {what}")
+        return values
+
+    def scalar(self, tag: str) -> float:
+        return self.finite(float(self.tagged(tag)[0]), tag)
+
     def floats(self, tag: str) -> np.ndarray:
         try:
-            return np.array([float(v) for v in self.tagged(tag)], dtype=np.float64)
+            values = np.array([float(v) for v in self.tagged(tag)], dtype=np.float64)
         except ValueError as exc:
             raise ModelFormatError(f"{self.path}: bad float in {tag!r} line") from exc
+        return self.finite(values, tag)
 
 
 def load(path) -> TrainedModel:
     """Load a model file; bad magic, version or payload, a negative count, a
-    split on a feature outside the canonical list or a line after the payload
-    raises ModelFormatError."""
+    split on a feature outside the canonical list, a nan or infinite float or
+    a line after the payload raises ModelFormatError."""
     r = _LineReader(path)
     head = r.next().split()
     if len(head) != 3 or head[0] != MAGIC:
@@ -199,18 +216,18 @@ def load(path) -> TrainedModel:
 
     try:
         if kind == "baseline":
-            slope = float(r.tagged("slope")[0])
-            intercept = float(r.tagged("intercept")[0])
+            slope = r.scalar("slope")
+            intercept = r.scalar("intercept")
             model: ModelObject = LinearModel(slope=slope, intercept=intercept)
         elif kind == "gbt":
-            base = float(r.tagged("base_score")[0])
-            lr = float(r.tagged("learning_rate")[0])
+            base = r.scalar("base_score")
+            lr = r.scalar("learning_rate")
             n_trees = r.count("n_trees")
             trees = [r.tree() for _ in range(n_trees)]
             model = GbtModel(base_score=base, learning_rate=lr, trees=trees)
         elif kind == "catboost":
             k = r.count("classes")
-            lr = float(r.tagged("learning_rate")[0])
+            lr = r.scalar("learning_rate")
             decode = r.tagged("decode")[0]
             if decode not in DECODE_MODES:
                 raise ModelFormatError(f"{path}: unknown decode mode {decode!r}")
@@ -227,7 +244,7 @@ def load(path) -> TrainedModel:
                 decode=decode, trees=trees,
             )
         elif kind == "mlp":
-            l2 = float(r.tagged("l2_lambda")[0])
+            l2 = r.scalar("l2_lambda")
             sizes = [int(s) for s in r.tagged("layers")]
             if len(sizes) < 2:
                 raise ModelFormatError(f"{path}: mlp needs at least two layer sizes")
@@ -243,10 +260,12 @@ def load(path) -> TrainedModel:
                 w = np.array(rows, dtype=np.float64)
                 if w.shape != (n_in, n_out):
                     raise ModelFormatError(f"{path}: weight matrix row length mismatch")
+                r.finite(w, "weight")
                 bias_parts = r.tagged("b")
                 bias_vals = np.array([float(v) for v in bias_parts[1:]], dtype=np.float64)
                 if int(bias_parts[0]) != n_out or bias_vals.shape != (n_out,):
                     raise ModelFormatError(f"{path}: bias length mismatch")
+                r.finite(bias_vals, "bias")
                 weights.append(w)
                 biases.append(bias_vals)
             model = MlpModel(weights=weights, biases=biases, l2_lambda=l2, norm=norm)

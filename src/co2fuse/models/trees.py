@@ -227,6 +227,44 @@ def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def leaf_boxes(trees, n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The region of feature space that reaches each leaf of ``trees``.
+
+    Returns ``(lower, upper, capped, value)``, one row per leaf; the first
+    three are (leaves, n_features). A row x reaches leaf l exactly when, for
+    every feature f, ``not x[f] < lower[l, f]`` (the path's right turns) and,
+    where ``capped[l, f]``, ``x[f] < upper[l, f]`` (its left turns): the
+    tests ``predict_tree`` makes, merged per feature, so a feature split
+    several times on a path takes one cell. A feature the path does not
+    split has lower -inf and no cap. ``value`` holds each leaf's value.
+    """
+    lowers, uppers, caps, values = [], [], [], []
+    for root in trees:
+        stack = [(root, [-np.inf] * n_features, [np.inf] * n_features, [False] * n_features)]
+        while stack:
+            node, lo, hi, cap = stack.pop()
+            if node.is_leaf:
+                lowers.append(lo)
+                uppers.append(hi)
+                caps.append(cap)
+                values.append(node.value)
+                continue
+            f, thr = node.feature, node.threshold
+            right_lo = lo.copy()
+            right_lo[f] = max(lo[f], thr)
+            left_hi, left_cap = hi.copy(), cap.copy()
+            left_hi[f], left_cap[f] = min(hi[f], thr), True
+            stack.append((node.right, right_lo, hi, cap))
+            stack.append((node.left, lo, left_hi, left_cap))
+    shape = (len(values), n_features)
+    return (
+        np.array(lowers, dtype=np.float64).reshape(shape),
+        np.array(uppers, dtype=np.float64).reshape(shape),
+        np.array(caps, dtype=bool).reshape(shape),
+        np.array(values, dtype=np.float64),
+    )
+
+
 def tree_depth(root: TreeNode) -> int:
     depth, stack = 0, [(root, 0)]
     while stack:

@@ -273,8 +273,14 @@ def test_loaded_model_predicts_like_library(workdir):
         (lambda ls: ls[:-6] + ["n_trees -3"], 2),
         (lambda ls: ls[:-6] + ["n_trees 1", "(split 99 0.5 (leaf 1) (leaf 2))"], 2),
         (lambda ls: ls[:-6] + ["n_trees 1", "(split -1 0.5 (leaf 1) (leaf 2))"], 2),
+        (lambda ls: ls[:-6] + ["n_trees 1", "(split 0 415 (leaf nan) (leaf 1))"], 2),
+        (lambda ls: ls[:-6] + ["n_trees 1", "(split 0 415 (leaf 0) (leaf -inf))"], 2),
+        (lambda ls: ls[:-6] + ["n_trees 1", "(split 0 inf (leaf 0) (leaf 1))"], 2),
     ],
-    ids=["deep-tree", "trailing-line", "negative-count", "split-feature-99", "split-feature-minus-1"],
+    ids=[
+        "deep-tree", "trailing-line", "negative-count", "split-feature-99",
+        "split-feature-minus-1", "leaf-nan", "leaf-minus-inf", "threshold-inf",
+    ],
 )
 def test_evaluate_edited_gbt_model_exit_code(workdir, tmp_path, edit, code):
     lines = (workdir / "gbt.model").read_text().splitlines()

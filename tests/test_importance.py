@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from co2fuse.errors import FeatureOrderError
+from co2fuse.fusion import FEATURE_NAMES
 from co2fuse.importance import (
     _coalition_tables,
+    _leaf_path_shapley,
     exact_shapley_row,
     permutation_importance,
     shapley_attribution,
     write_report_csv,
 )
-from co2fuse.models import GbtConfig, LinearModel, TrainedModel, predict_batch, train_gbt
+from co2fuse.models import (
+    GbtConfig,
+    GbtModel,
+    LinearModel,
+    TrainedModel,
+    TreeNode,
+    predict_batch,
+    train_gbt,
+)
 
 rng = np.random.default_rng(19)
 
@@ -82,6 +95,84 @@ def test_report_local_accuracy_on_gbt():
         assert phi.sum() == pytest.approx(
             float(f(x[None, :])[0] - f(mu[None, :])[0]), abs=1e-6
         )
+
+
+# feature values and thresholds share a short list, so that thresholds land
+# on x[f] and mu[f] and many features of x equal mu's; nan, which every split
+# sends right, is a value too
+_GRID = (0.0, 1.0, 2.0, 3.0, np.nan)
+_THRESHOLDS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+@st.composite
+def _tie_prone_gbt(draw):
+    """A small GbtModel (depths 0-6, splits on a few features, so that one
+    feature recurs on a path) with two rows and a reference point."""
+    live = draw(st.lists(st.integers(0, 13), min_size=1, max_size=4, unique=True))
+
+    def grow(depth, forced):
+        # the leftmost path reaches the tree's drawn depth
+        if depth == 0 or not (forced or draw(st.booleans())):
+            return TreeNode.leaf(draw(st.integers(-8, 8)) / 4.0)
+        return TreeNode(
+            feature=draw(st.sampled_from(live)),
+            threshold=draw(st.sampled_from(_THRESHOLDS)),
+            left=grow(depth - 1, forced),
+            right=grow(depth - 1, False),
+        )
+
+    trees = [grow(draw(st.integers(0, 6)), True) for _ in range(draw(st.integers(1, 3)))]
+    gbt = GbtModel(
+        base_score=draw(st.sampled_from((0.0, 412.5))),
+        learning_rate=draw(st.sampled_from((1.0, 0.1, 0.37))),
+        trees=trees,
+    )
+    point = st.lists(st.sampled_from(_GRID), min_size=14, max_size=14).map(np.array)
+    return gbt, np.array([draw(point), draw(point)]), draw(point)
+
+
+def _split_features(trees):
+    used, stack = set(), list(trees)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            used.add(node.feature)
+            stack += [node.left, node.right]
+    return used
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tie_prone_gbt())
+def test_leaf_path_shapley_matches_enumeration(problem):
+    gbt, X, mu = problem
+    tm = TrainedModel("gbt", gbt)
+    f = lambda Z: predict_batch(tm, Z)
+    tables = _coalition_tables(14)
+    phi = _leaf_path_shapley(gbt, X, mu)
+    never_split = sorted(set(range(14)) - _split_features(gbt.trees))
+    for x, got in zip(X, phi):
+        want = exact_shapley_row(f, x, mu, tables)
+        assert np.abs(got - want).max() <= 1e-9
+        assert abs(got.sum() - (f(x[None, :])[0] - f(mu[None, :])[0])) <= 1e-9
+        assert np.all(got[never_split] == 0.0)
+    assert np.all(_leaf_path_shapley(gbt, mu[None, :], mu) == 0.0)
+
+
+def test_gbt_report_matches_enumeration_and_checks_feature_order():
+    X = rng.normal(415, 4, size=(120, 14))
+    y = X[:, 0] + 0.5 * X[:, 8] + rng.normal(0, 0.5, 120)
+    tm = TrainedModel("gbt", train_gbt(X, y, GbtConfig(n_estimators=25)))
+    mu = X.mean(axis=0)
+    f = lambda Z: predict_batch(tm, Z)
+    tables = _coalition_tables(14)
+    want = np.mean([np.abs(exact_shapley_row(f, x, mu, tables)) for x in X[:3]], axis=0)
+    report = shapley_attribution(tm, X[:3], X)
+    got = {e.feature: e.value for e in report.entries}
+    assert max(abs(got[n] - want[i]) for i, n in enumerate(FEATURE_NAMES)) <= 1e-9
+    assert report.baseline == float(f(mu[None, :])[0])
+    scrambled = TrainedModel("gbt", tm.model, feature_names=tuple(reversed(FEATURE_NAMES)))
+    with pytest.raises(FeatureOrderError):
+        shapley_attribution(scrambled, X[:3], X)
 
 
 def test_row_subsample_deterministic():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from co2fuse.errors import TrainingDivergedError
+from co2fuse.fusion import fit_norm_stats, standardize
 from co2fuse.models import MlpConfig, param_count, train_mlp
 from co2fuse.models.mlp import full_loss, init_mlp, loss_and_gradients
 
@@ -121,3 +122,14 @@ def test_config_validation():
         MlpConfig(momentum=1.0)
     with pytest.raises(ValueError):
         MlpConfig(learning_rate=0.0)
+
+
+def test_predict_batch_matches_forward_bit_for_bit():
+    rng = np.random.default_rng(8)
+    X = rng.normal(415, 5, size=(300, 14))
+    stats = fit_norm_stats(X)
+    m = train_mlp(standardize(X, stats), X[:, 0], MlpConfig(epochs=2), norm=stats)
+    queries = rng.normal(415, 5, size=(1000, 14))
+    want = m.forward(standardize(queries, stats))[0]
+    assert m.predict_batch(queries).tobytes() == want.tobytes()
+    assert m.predict_batch(standardize(queries, stats), standardized=True).tobytes() == want.tobytes()

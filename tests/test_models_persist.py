@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,41 @@ def test_deeply_nested_tree_loads(tmp_path):
     back = _load_text(tmp_path, "\n".join(lines) + "\n")
     v = np.full(14, 415.0)
     assert predict(back, v) == back.model.base_score + back.model.learning_rate
+
+
+def _first_leaf(text, bad):
+    return re.sub(r"\(leaf \S+\)", f"(leaf {bad})", text, count=1)
+
+
+def _first_threshold(text, bad):
+    return re.sub(r"\(split (\d+) \S+", rf"(split \g<1> {bad}", text, count=1)
+
+
+def _first_weight(text, bad):
+    return re.sub(r"(\nW \d+ \d+\n)\S+", rf"\g<1>{bad}", text, count=1)
+
+
+_NON_FINITE_EDITS = {
+    "gbt-leaf": (lambda: train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=2)), _first_leaf),
+    "gbt-threshold": (
+        lambda: train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=2)), _first_threshold
+    ),
+    "mlp-weight": (
+        lambda: train_mlp(standardize(X_TRAIN, fit_norm_stats(X_TRAIN)), Y_TRAIN, MlpConfig(epochs=1)),
+        _first_weight,
+    ),
+    "catboost-leaf": (
+        lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=1)), _first_leaf
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", sorted(_NON_FINITE_EDITS))
+def test_non_finite_model_float_rejected(tmp_path, target, bad):
+    train, edit = _NON_FINITE_EDITS[target]
+    text = _saved(tmp_path, TrainedModel(target.split("-")[0], train()))
+    edited = edit(text, bad)
+    assert edited != text
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        _load_text(tmp_path, edited)
