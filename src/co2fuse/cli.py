@@ -274,27 +274,18 @@ def _prediction_points(model_file, soundings_path, weather_path):
     """Model predictions at every sounding location, as valued points."""
     soundings = ingest.read_soundings(soundings_path, quality_filter=True)
     archive = ingest.read_weather(weather_path)
-    rows = []
-    locations = []
-    skipped = 0
-    for s in soundings:
-        try:
-            weather = fusion.nearest_weather(s, archive)
-        except (NoDataError, Co2FuseError):
-            skipped += 1
-            continue
-        rows.append(fusion.assemble_features(s, weather))
-        locations.append(s.location)
-    if not rows:
+    X, usable = fusion.weather_features(soundings, archive)
+    if not len(X):
         raise EmptyDatasetError("no sounding had usable weather context")
     if model_file:
-        tm = load(model_file)
-        values = predict_batch(tm, np.stack(rows))
+        values = predict_batch(load(model_file), X)
     else:
-        values = np.array([r[0] for r in rows])  # raw xco2 fallback
+        values = X[:, 0]  # raw xco2 fallback
+    locations = [s.location for s, ok in zip(soundings, usable) if ok]
     points = [
         interpolate.ValuedPoint(loc, float(v)) for loc, v in zip(locations, values)
     ]
+    skipped = len(soundings) - len(points)
     if skipped:
         print(f"note: skipped {skipped} sounding(s) without nearby weather", file=sys.stderr)
     return points

@@ -4,11 +4,20 @@ Each satellite sounding is matched to the spatially nearest station that has
 at least one observation within the time window; the matched pair plus the
 nearest weather sample becomes one 14-feature labeled sample. Train/test
 splits are by whole stations to prevent spatial leakage.
+
+Both joins are batched over all soundings. Haversine distances from the
+soundings to the weather nodes (or the stations) are computed in blocks of
+_CHUNK_ROWS soundings. For weather, every node at a sounding's exact minimum
+distance is searched (`searchsorted` on its int64 microsecond times) and the
+winner minimizes (|dt|, time), earlier nodes winning full ties. For stations,
+each station's nearest observation is checked against the time window and
+the first qualifying station in (distance, station_id) order wins. The
+features are then assembled from columns. `nearest_weather` and
+`assemble_features` are the one-sounding cases of the same code.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import logging
 import math
@@ -23,16 +32,18 @@ from .errors import (
     NoDataError,
     StaleWeatherError,
 )
-from .geo import EARTH_RADIUS_KM, geodesic_km_many
+from .geo import EARTH_RADIUS_KM, haversine_km
 from .ingest import (
     SoundingRecord,
     Station,
     StationObservation,
     WeatherArchive,
     WeatherSample,
+    epoch_years,
     format_timestamp,
     parse_timestamp,
-    to_epoch_years,
+    to_micros,
+    weather_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -96,77 +107,102 @@ class NormStats:
     std: np.ndarray
 
 
-class SeriesIndex:
-    """Station observations keyed by station id, times sorted for bisection."""
-
-    def __init__(self, series: list[StationObservation]):
-        by_station: dict[str, list[StationObservation]] = {}
-        for obs in series:
-            by_station.setdefault(obs.station_id, []).append(obs)
-        self._times: dict[str, list[datetime]] = {}
-        self._obs: dict[str, list[StationObservation]] = {}
-        for sid, obs_list in by_station.items():
-            obs_list.sort(key=lambda o: o.time)
-            self._obs[sid] = obs_list
-            self._times[sid] = [o.time for o in obs_list]
-
-    def nearest_in_window(
-        self, station_id: str, when: datetime, max_minutes: float
-    ) -> StationObservation | None:
-        """Temporally nearest observation within +/- max_minutes; ties to the
-        earlier timestamp."""
-        times = self._times.get(station_id)
-        if not times:
-            return None
-        i = bisect.bisect_left(times, when)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(times):
-                dt = abs((times[j] - when).total_seconds())
-                if dt <= max_minutes * 60.0:
-                    key = (dt, times[j])
-                    if best is None or key < best[0]:
-                        best = (key, self._obs[station_id][j])
-        return None if best is None else best[1]
+# soundings per block of the distance pass: no soundings-wide matrix is
+# built, and a block (512 x 63 nodes at seed 43 is 0.25 MB) stays small next
+# to the records, so the join does not raise the peak memory
+_CHUNK_ROWS = 512
 
 
-def _match_against(
-    sounding: SoundingRecord,
-    distances: np.ndarray,
-    station_ids: list[str],
-    index: SeriesIndex,
-    cfg: MatchConfig,
-) -> tuple[str, StationObservation, float] | None:
-    """Walk stations in (distance, station_id) order; first in-window hit wins."""
-    within = np.nonzero(distances <= cfg.max_distance_km)[0]
-    for j in sorted(within, key=lambda j: (distances[j], station_ids[j])):
-        obs = index.nearest_in_window(station_ids[j], sounding.time, cfg.max_time_minutes)
-        if obs is not None:
-            return station_ids[j], obs, float(distances[j])
-    return None
+def _sounding_columns(soundings: list[SoundingRecord]):
+    """Latitudes, longitudes and int64 UTC microsecond times of records."""
+    lat = np.array([s.location.latitude for s in soundings], dtype=np.float64)
+    lon = np.array([s.location.longitude for s in soundings], dtype=np.float64)
+    return lat, lon, to_micros([s.time for s in soundings])
 
 
-def match_sounding(
-    sounding: SoundingRecord,
-    catalog: list[Station],
-    series: list[StationObservation] | SeriesIndex,
-    cfg: MatchConfig = MatchConfig(),
-) -> tuple[str, StationObservation, float] | None:
-    """Match one sounding to the spatially nearest qualifying station.
+def _distance_blocks(lat, lon, target_lat, target_lon):
+    """(row slice, rows x targets haversine block) over chunks of the rows,
+    each row the origin of its distances."""
+    for lo in range(0, len(lat), _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        yield rows, haversine_km(lat[rows, None], lon[rows, None], target_lat, target_lon)
 
-    A station qualifies if it is within cfg.max_distance_km and has at least
-    one observation within +/- cfg.max_time_minutes of the sounding time.
-    Distance ties break on station_id. Returns None when nothing qualifies.
+
+def _nearest_time(times: np.ndarray, t: np.ndarray):
+    """Per query time, the index into non-empty sorted `times` minimizing
+    (|dt|, time) and that |dt| in seconds, as timedelta.total_seconds gives it."""
+    i = np.searchsorted(times, t)
+    before = np.maximum(i - 1, 0)
+    after = np.minimum(i, len(times) - 1)
+    dt_before = (t - times[before]) / 1e6
+    dt_after = (times[after] - t) / 1e6
+    take_before = (i > 0) & ((i == len(times)) | (dt_before <= dt_after))
+    return np.where(take_before, before, after), np.where(take_before, dt_before, dt_after)
+
+
+def _join_weather(lat, lon, t, archive: WeatherArchive):
+    """Nearest weather for each row of a non-empty archive.
+
+    Minimizes (geodesic distance, |dt|, sample time) lexicographically over
+    every node at the minimum distance, earlier nodes winning full ties.
+    Returns the archive row of each winner, its distance (km) and |dt| (s).
     """
-    index = series if isinstance(series, SeriesIndex) else SeriesIndex(series)
-    distances = geodesic_km_many(
-        sounding.location,
-        np.array([s.location.latitude for s in catalog]),
-        np.array([s.location.longitude for s in catalog]),
-    )
-    return _match_against(
-        sounding, distances, [s.station_id for s in catalog], index, cfg
-    )
+    dmin = np.empty(len(lat))
+    pair_rows, pair_nodes = [], []
+    for rows, d in _distance_blocks(lat, lon, archive.node_latitudes, archive.node_longitudes):
+        dmin[rows] = d.min(axis=1)
+        r, j = np.nonzero(d == dmin[rows, None])
+        pair_rows.append(r + rows.start)
+        pair_nodes.append(j)
+    r = np.concatenate(pair_rows)
+    j = np.concatenate(pair_nodes)
+    cand = np.empty(len(r), dtype=np.int64)
+    dt = np.empty(len(r))
+    for node in np.flatnonzero(np.bincount(j)):
+        pairs = j == node
+        lo, hi = archive.node_offsets[node], archive.node_offsets[node + 1]
+        idx, dt[pairs] = _nearest_time(archive.times[lo:hi], t[r[pairs]])
+        cand[pairs] = lo + idx
+    # pairs come row by row, nodes ascending: a stable sort keeps the first
+    order = np.lexsort((archive.times[cand], dt, r))
+    first = order[np.diff(r[order], prepend=-1) != 0]
+    return cand[first], dmin, dt[first]
+
+
+def _stale(dist, dt):
+    """Weather joined from farther than 2 degrees of arc or 6 hours."""
+    return (dist > STALE_WEATHER_KM) | (dt > STALE_WEATHER_HOURS * 3600.0)
+
+
+def _features(soundings: list[SoundingRecord], lat, lon, t, weather: np.ndarray) -> np.ndarray:
+    """The (n, 14) canonical feature matrix: sounding columns, then weather."""
+    X = np.empty((len(soundings), N_FEATURES))
+    X[:, 0] = [s.xco2 for s in soundings]
+    X[:, 1] = [s.xco2_uncertainty for s in soundings]
+    X[:, 2] = lat
+    X[:, 3] = lon
+    X[:, 4] = epoch_years(t)
+    X[:, 5:] = weather
+    return X
+
+
+def weather_features(
+    soundings: list[SoundingRecord], archive: WeatherArchive
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows of the soundings whose nearest weather is usable.
+
+    Returns (X, usable): X has one row per True entry of the boolean mask
+    `usable`, in sounding order. Nothing is usable in an empty archive, and
+    a winner farther than 2 degrees of arc or more than 6 hours is stale.
+    """
+    lat, lon, t = _sounding_columns(soundings)
+    if len(archive) == 0 or not soundings:
+        return np.empty((0, N_FEATURES)), np.zeros(len(soundings), dtype=bool)
+    row, dist, dt = _join_weather(lat, lon, t, archive)
+    usable = ~_stale(dist, dt)
+    kept = [s for s, ok in zip(soundings, usable) if ok]
+    weather = archive.fields(row[usable])
+    return _features(kept, lat[usable], lon[usable], t[usable], weather), usable
 
 
 def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> WeatherSample:
@@ -178,50 +214,78 @@ def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> Weathe
     """
     if len(archive) == 0:
         raise NoDataError("weather archive is empty")
-    distances = geodesic_km_many(
-        sounding.location, archive.node_latitudes, archive.node_longitudes
-    )
-    dmin = float(distances.min())
-    best = None
-    for j in np.nonzero(distances == dmin)[0]:
-        times, node_series = archive.node_series(int(j))
-        i = bisect.bisect_left(times, sounding.time)
-        for idx in (i - 1, i):
-            if 0 <= idx < len(times):
-                dt = abs((times[idx] - sounding.time).total_seconds())
-                key = (dt, times[idx])
-                if best is None or key < best[0]:
-                    best = (key, node_series[idx])
-    (dt, _), sample = best
-    if dmin > STALE_WEATHER_KM or dt > STALE_WEATHER_HOURS * 3600.0:
+    (row,), (dmin,), (dt,) = _join_weather(*_sounding_columns([sounding]), archive)
+    if _stale(dmin, dt):
         raise StaleWeatherError(
             f"nearest weather sample is {dmin:.1f} km / {dt / 3600.0:.1f} h away "
             f"(limits {STALE_WEATHER_KM:.1f} km, {STALE_WEATHER_HOURS:.0f} h)"
         )
-    return sample
+    return archive.samples[archive.sample_index[row]]
 
 
 def assemble_features(sounding: SoundingRecord, weather: WeatherSample) -> np.ndarray:
     """Build the canonical 14-feature vector for one sounding."""
-    return np.array(
-        [
-            sounding.xco2,
-            sounding.xco2_uncertainty,
-            sounding.location.latitude,
-            sounding.location.longitude,
-            to_epoch_years(sounding.time),
-            weather.u10,
-            weather.v10,
-            weather.surface_pressure,
-            weather.t2m,
-            weather.skin_temperature,
-            weather.vint_temperature,
-            weather.tcwv,
-            weather.cloud_base_height,
-            weather.total_cloud_cover,
-        ],
-        dtype=np.float64,
-    )
+    lat, lon, t = _sounding_columns([sounding])
+    return _features([sounding], lat, lon, t, np.array([weather_fields(weather)]))[0]
+
+
+def _series_by_station(series: list[StationObservation]) -> dict[str, tuple]:
+    """Station id -> (sorted int64 times, the observations in that order);
+    equal times keep input order."""
+    by_station: dict[str, list[StationObservation]] = {}
+    for o in series:
+        by_station.setdefault(o.station_id, []).append(o)
+    index = {}
+    for sid, observations in by_station.items():
+        times = to_micros([o.time for o in observations])
+        order = np.argsort(times, kind="stable")
+        index[sid] = (times[order], [observations[i] for i in order])
+    return index
+
+
+def match_stations(
+    soundings: list[SoundingRecord],
+    catalog: list[Station],
+    series: list[StationObservation],
+    cfg: MatchConfig = MatchConfig(),
+) -> tuple[np.ndarray, list[StationObservation | None], np.ndarray]:
+    """Match each sounding to the spatially nearest qualifying station.
+
+    A station qualifies if it is within cfg.max_distance_km and has at least
+    one observation within +/- cfg.max_time_minutes of the sounding time; the
+    observation nearest in (|dt|, earlier time) is taken. Distance ties break
+    on station_id. Returns per sounding the catalog index of the station (-1
+    when nothing qualifies), its observation (None) and the distance in km.
+    """
+    station = np.full(len(soundings), -1)
+    obs: list[StationObservation | None] = [None] * len(soundings)
+    dist = np.full(len(soundings), np.nan)
+    if not catalog:
+        return station, obs, dist
+    lat, lon, t = _sounding_columns(soundings)
+    order = np.array(sorted(range(len(catalog)), key=lambda k: catalog[k].station_id))
+    index = _series_by_station(series)
+    lats = np.array([catalog[k].location.latitude for k in order])
+    lons = np.array([catalog[k].location.longitude for k in order])
+    for rows, d in _distance_blocks(lat, lon, lats, lons):
+        ok = d <= cfg.max_distance_km
+        cand = np.zeros(d.shape, dtype=np.int64)
+        for col, k in enumerate(order):
+            found = index.get(catalog[k].station_id)
+            if found is None:
+                ok[:, col] = False
+                continue
+            cand[:, col], dt = _nearest_time(found[0], t[rows])
+            ok[:, col] &= dt <= cfg.max_time_minutes * 60.0
+        # columns are in station_id order, so argmin keeps the smaller id
+        best = np.where(ok, d, np.inf).argmin(axis=1)
+        at = np.arange(len(best))
+        for i in np.flatnonzero(ok[at, best]):
+            k = order[best[i]]
+            station[rows.start + i] = k
+            obs[rows.start + i] = index[catalog[k].station_id][1][cand[i, best[i]]]
+            dist[rows.start + i] = d[i, best[i]]
+    return station, obs, dist
 
 
 def build_dataset(
@@ -237,34 +301,22 @@ def build_dataset(
     are skipped and counted. Output is deterministically ordered by
     (sounding time, station_id). Raises EmptyDatasetError on zero matches.
     """
-    index = SeriesIndex(series)
-    station_lats = np.array([s.location.latitude for s in catalog])
-    station_lons = np.array([s.location.longitude for s in catalog])
-    station_ids = [s.station_id for s in catalog]
-    samples = []
-    unmatched = stale = 0
-    for s in soundings:
-        distances = geodesic_km_many(s.location, station_lats, station_lons)
-        hit = _match_against(s, distances, station_ids, index, cfg)
-        if hit is None:
-            unmatched += 1
-            continue
-        station_id, obs, dist = hit
-        try:
-            weather = nearest_weather(s, archive)
-        except (NoDataError, StaleWeatherError):
-            stale += 1
-            continue
-        samples.append(
-            LabeledSample(
-                features=assemble_features(s, weather),
-                label=obs.co2,
-                station_id=station_id,
-                sounding_time=s.time,
-                station_distance_km=dist,
-            )
+    station, obs, dist = match_stations(soundings, catalog, series, cfg)
+    matched = np.flatnonzero(station >= 0)
+    X, usable = weather_features([soundings[i] for i in matched], archive)
+    samples = [
+        LabeledSample(
+            features=x,
+            label=obs[i].co2,
+            station_id=catalog[station[i]].station_id,
+            sounding_time=soundings[i].time,
+            station_distance_km=float(dist[i]),
         )
+        for i, x in zip(matched[usable], X)
+    ]
     total = len(soundings)
+    unmatched = total - len(matched)
+    stale = len(matched) - len(samples)
     rate = len(samples) / total if total else 0.0
     log.info(
         "matched %d of %d soundings (%.1f%%); %d unmatched, %d with stale weather",

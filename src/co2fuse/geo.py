@@ -96,30 +96,24 @@ class GridSpec:
         return int((self.bbox.east - self.bbox.west) / self.resolution + 1e-9)
 
 
-def geodesic_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in kilometers (haversine).
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in kilometers (haversine) between broadcast
+    arrays of coordinates in degrees.
 
     Symmetric and non-negative; exact zero for identical points.
     """
-    lat1 = math.radians(a.latitude)
-    lat2 = math.radians(b.latitude)
-    dlat = lat2 - lat1
-    dlon = math.radians(b.longitude - a.longitude)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    p1 = np.radians(lat1)
+    p2 = np.radians(lat2)
+    dlat = p2 - p1
+    dlon = np.radians(np.subtract(lon2, lon1))
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dlon / 2.0) ** 2
     # clamp against rounding before the asin
-    h = min(1.0, max(0.0, h))
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
 def geodesic_km_many(origin: GeoPoint, latitudes, longitudes):
     """Haversine from one origin to arrays of coordinates (vectorized)."""
-    lat1 = math.radians(origin.latitude)
-    lat2 = np.radians(latitudes)
-    dlat = lat2 - lat1
-    dlon = np.radians(np.asarray(longitudes) - origin.longitude)
-    h = np.sin(dlat / 2.0) ** 2 + math.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+    return haversine_km(origin.latitude, origin.longitude, latitudes, longitudes)
 
 
 def cell_centers(spec: GridSpec) -> list[GeoPoint]:

@@ -21,8 +21,12 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, time, timezone
+from datetime import datetime, time, timedelta, timezone
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import CorruptInputError, DuplicateKeyError, SchemaError
 from .geo import GeoPoint
@@ -108,38 +112,56 @@ class WeatherSample:
     total_cloud_cover: float
 
 
+# WeatherSample's fields in feature order (FEATURE_NAMES[5:] in fusion)
+weather_fields = attrgetter(
+    "u10",
+    "v10",
+    "surface_pressure",
+    "t2m",
+    "skin_temperature",
+    "vint_temperature",
+    "tcwv",
+    "cloud_base_height",
+    "total_cloud_cover",
+)
+
+
 class WeatherArchive:
-    """Weather samples grouped by grid node, each node's series time-sorted."""
+    """Weather samples as node-major columns, built once.
+
+    Nodes are the distinct (latitude, longitude) pairs in sorted order. Row r
+    of `times` (int64 UTC microseconds) is sample `samples[sample_index[r]]`;
+    node n owns rows node_offsets[n]:node_offsets[n + 1], sorted by time,
+    equal times in input order. The field values stay in the records, and
+    `fields(rows)` gathers them for the rows a join picked.
+    """
 
     def __init__(self, samples: Iterable[WeatherSample]):
-        import numpy as np
-
         self.samples = sorted(
             samples, key=lambda s: (s.time, s.location.latitude, s.location.longitude)
         )
-        by_node: dict[tuple[float, float], list[WeatherSample]] = {}
-        for s in self.samples:
-            by_node.setdefault((s.location.latitude, s.location.longitude), []).append(s)
-        for series in by_node.values():
-            series.sort(key=lambda s: s.time)
-        self._by_node = by_node
-        self._node_keys = sorted(by_node)
-        self.node_latitudes = np.array([k[0] for k in self._node_keys], dtype=np.float64)
-        self.node_longitudes = np.array([k[1] for k in self._node_keys], dtype=np.float64)
-        self._node_times = [
-            [s.time for s in by_node[k]] for k in self._node_keys
-        ]
+        # self.samples is in time order, so a stable sort on the node keeps it
+        n = len(self.samples)
+        lats = np.fromiter((s.location.latitude for s in self.samples), np.float64, n)
+        lons = np.fromiter((s.location.longitude for s in self.samples), np.float64, n)
+        self.sample_index = np.lexsort((lons, lats))
+        lats, lons = lats[self.sample_index], lons[self.sample_index]
+        new_node = np.ones(len(lats), dtype=bool)
+        new_node[1:] = (lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1])
+        starts = np.flatnonzero(new_node)
+        self.node_offsets = np.append(starts, len(lats))
+        self.node_latitudes = lats[starts]
+        self.node_longitudes = lons[starts]
+        self.times = to_micros([self.samples[i].time for i in self.sample_index])
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def nodes(self) -> list[GeoPoint]:
-        return [GeoPoint(lat, lon) for lat, lon in self._node_keys]
-
-    def node_series(self, index: int) -> tuple[list, list[WeatherSample]]:
-        """Sorted times and samples of node `index` (order of `nodes`)."""
-        return self._node_times[index], self._by_node[self._node_keys[index]]
+    def fields(self, rows: np.ndarray) -> np.ndarray:
+        """The nine `weather_fields` of node-major rows, one row each."""
+        samples = (self.samples[i] for i in self.sample_index[rows])
+        values = chain.from_iterable(map(weather_fields, samples))
+        return np.fromiter(values, np.float64, 9 * len(rows)).reshape(-1, 9)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -157,13 +179,29 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def to_micros(times: list[datetime]) -> np.ndarray:
+    """Aware datetimes as int64 UTC microseconds since 1970, exactly."""
+    return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
+
+
+def epoch_years(micros: np.ndarray) -> np.ndarray:
+    """Continuous calendar time of UTC microseconds, e.g. 2015.37 for mid-May 2015.
+
+    The year fraction divides integer microseconds, as timedelta division does.
+    """
+    year = np.asarray(micros).astype("datetime64[us]").astype("datetime64[Y]")
+    start = year.astype("datetime64[us]").astype(np.int64)
+    end = (year + 1).astype("datetime64[us]").astype(np.int64)
+    return (year.astype(np.int64) + 1970) + (micros - start) / (end - start)
+
+
 def to_epoch_years(dt: datetime) -> float:
-    """Continuous calendar time, e.g. 2015.37 for mid-May 2015."""
-    dt = dt.astimezone(timezone.utc)
-    year_start = datetime(dt.year, 1, 1, tzinfo=timezone.utc)
-    year_end = datetime(dt.year + 1, 1, 1, tzinfo=timezone.utc)
-    frac = (dt - year_start) / (year_end - year_start)
-    return dt.year + frac
+    """Continuous calendar time of one aware datetime (see epoch_years)."""
+    return float(epoch_years(to_micros([dt]))[0])
 
 
 def _finite(x: float) -> float:
@@ -413,6 +451,9 @@ __all__ = [
     "parse_timestamp",
     "format_timestamp",
     "to_epoch_years",
+    "to_micros",
+    "epoch_years",
+    "weather_fields",
     "parse_weather_window",
     "DEFAULT_WEATHER_WINDOW",
 ]

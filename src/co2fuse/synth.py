@@ -27,7 +27,9 @@ from .ingest import (
     StationObservation,
     WeatherArchive,
     WeatherSample,
+    epoch_years,
     to_epoch_years,
+    to_micros,
     write_soundings,
     write_station_catalog,
     write_station_series,
@@ -158,7 +160,7 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
     series = []
     n_hours = cfg.days * 24
     hour_times = [cfg.start + timedelta(hours=h) for h in range(n_hours)]
-    hour_years = np.array([to_epoch_years(t) for t in hour_times])
+    hour_years = epoch_years(to_micros(hour_times))
     for st in catalog:
         noise = rng.normal(0.0, cfg.noise_std, size=n_hours)
         co2 = (
@@ -193,7 +195,7 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
         flags = rng.random(size=n_per) < 0.03
         lons = center_lon + tilt * (lats - st.location.latitude) + jitter
         times = [t0 + timedelta(seconds=i) for i in range(n_per)]
-        years = np.array([to_epoch_years(t) for t in times])
+        years = epoch_years(to_micros(times))
         xco2 = (
             _field_from_parts(cfg, lats, lons, years)
             + _column_offset(cfg, lats, lons, years % 1.0)

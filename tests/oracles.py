@@ -5,15 +5,19 @@ code with the package: distances use the spherical law of cosines (or a
 separately written haversine), the KNN oracle is a plain full scan with
 explicit sorting, gradients come from central finite differences, and the
 tree builder sorts every feature again at every node. The exceptions are
-``fullscan_k_nearest`` and ``reference_sweep``: they pin the bits of the
-library's neighbour search and sweep, so they rank every point by the
-library's own haversine kernel and take grid statistics from its Grid.
+``fullscan_k_nearest``, ``reference_sweep`` and the per-sounding join: they
+pin the bits of the library's neighbour search, sweep and sounding join, so
+they measure every distance with the library's own haversine kernel and take
+grid statistics from its Grid.
 """
 
+import bisect
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
+from co2fuse.errors import NoDataError, StaleWeatherError
 from co2fuse.geo import cell_centers, geodesic_km_many
 from co2fuse.interpolate import Grid
 
@@ -182,3 +186,95 @@ def predict_rows_one_at_a_time(root, X):
             node = node.left if row[node.feature] < node.threshold else node.right
         out.append(node.value)
     return np.array(out, dtype=np.float64)
+
+
+# ------------------------------------------------------- per-sounding join
+
+
+def reference_series_index(series):
+    """Station id -> (times, observations), each station's list sorted by
+    time, equal times in input order."""
+    by_station = {}
+    for obs in series:
+        by_station.setdefault(obs.station_id, []).append(obs)
+    index = {}
+    for sid, obs_list in by_station.items():
+        obs_list.sort(key=lambda o: o.time)
+        index[sid] = ([o.time for o in obs_list], obs_list)
+    return index
+
+
+def _nearest_in_window(times, items, when, max_seconds):
+    """Item minimizing (|dt|, time) among the two neighbours of `when` in
+    sorted `times` that lie within max_seconds; None when neither does."""
+    i = bisect.bisect_left(times, when)
+    best = None
+    for j in (i - 1, i):
+        if 0 <= j < len(times):
+            dt = abs((times[j] - when).total_seconds())
+            if dt <= max_seconds:
+                key = (dt, times[j])
+                if best is None or key < best[0]:
+                    best = (key, items[j])
+    return best
+
+
+def reference_match_sounding(sounding, catalog, index, cfg):
+    """(station_id, observation, distance) of the nearest qualifying
+    station, walking stations in (distance, station_id) order; or None."""
+    distances = geodesic_km_many(
+        sounding.location,
+        np.array([s.location.latitude for s in catalog]),
+        np.array([s.location.longitude for s in catalog]),
+    )
+    within = np.nonzero(distances <= cfg.max_distance_km)[0]
+    for j in sorted(within, key=lambda j: (distances[j], catalog[j].station_id)):
+        found = index.get(catalog[j].station_id)
+        if found is None:
+            continue
+        hit = _nearest_in_window(*found, sounding.time, cfg.max_time_minutes * 60.0)
+        if hit is not None:
+            return catalog[j].station_id, hit[1], float(distances[j])
+    return None
+
+
+def reference_weather_nodes(archive):
+    """Sorted (lat, lon) node keys and each node's time-sorted samples."""
+    by_node = {}
+    for s in archive.samples:
+        by_node.setdefault((s.location.latitude, s.location.longitude), []).append(s)
+    keys = sorted(by_node)
+    return keys, [sorted(by_node[k], key=lambda s: s.time) for k in keys]
+
+
+def reference_nearest_weather(sounding, nodes, stale_km, stale_hours):
+    """The sample minimizing (distance, |dt|, time) over the nodes at the
+    minimum distance, earlier nodes winning full ties; raises NoDataError
+    without nodes and StaleWeatherError beyond the limits."""
+    keys, node_samples = nodes
+    if not keys:
+        raise NoDataError("weather archive is empty")
+    distances = geodesic_km_many(
+        sounding.location, np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
+    )
+    dmin = float(distances.min())
+    best = None
+    for j in np.nonzero(distances == dmin)[0]:
+        samples = node_samples[j]
+        hit = _nearest_in_window(
+            [s.time for s in samples], samples, sounding.time, math.inf
+        )
+        if best is None or hit[0] < best[0]:
+            best = hit
+    (dt, _), sample = best
+    if dmin > stale_km or dt > stale_hours * 3600.0:
+        raise StaleWeatherError(f"{dmin} km / {dt} s")
+    return sample
+
+
+def reference_epoch_years(dt):
+    """Calendar year plus the elapsed fraction of it, by timedelta division."""
+    dt = dt.astimezone(timezone.utc)
+    start = datetime(dt.year, 1, 1, tzinfo=timezone.utc)
+    end = datetime(dt.year + 1, 1, 1, tzinfo=timezone.utc)
+    return dt.year + (dt - start) / (end - start)

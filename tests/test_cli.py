@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import os
 import subprocess
@@ -381,3 +382,71 @@ def test_mutated_input_bytes_give_an_exit_code(target, workdir, fuzz_dir, edits)
     code = run(*_fuzz_command(target, workdir, path, fuzz_dir / "out"))
     # an edit that keeps the file valid (a changed digit) still succeeds
     assert code in (0, 2, 3)
+
+
+def _rewrite_weather(src: Path, dst: Path, edit) -> Path:
+    """Copy a weather CSV, passing each data row through `edit(row) -> row`."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(rows[0])
+        w.writerows(edit(list(r)) for r in rows[1:])
+    return dst
+
+
+def _at_three_am(row):
+    row[0] = row[0][:11] + "03:00:00Z"  # outside the default 09:00-15:00 window
+    return row
+
+
+def _north_nodes_moved(row):
+    if float(row[1]) >= 56.0:  # nodes from 56 N move 20 degrees north
+        row[1] = repr(float(row[1]) + 20.0)
+    return row
+
+
+@pytest.mark.parametrize("command", ["predict-grid", "sweep"])
+def test_no_usable_weather_gives_empty_data_exit(
+    small_campaign_dir, workdir, tmp_path, capsys, command
+):
+    camp = small_campaign_dir
+    weather = _rewrite_weather(camp / "weather.csv", tmp_path / "w.csv", _at_three_am)
+    code = run(
+        command, "--model-file", str(workdir / "baseline.model"),
+        "--soundings", str(camp / "soundings.csv"), "--weather", str(weather),
+        "--bbox", "52,8,58,16", "--res", "2.0", "--out", str(tmp_path / "out"),
+    )
+    assert code == 3
+    assert "no sounding had usable weather context" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict-grid", "sweep"])
+def test_far_weather_nodes_skip_soundings(
+    small_campaign_dir, workdir, tmp_path, capsys, command
+):
+    camp = small_campaign_dir
+    weather = _rewrite_weather(camp / "weather.csv", tmp_path / "w.csv", _north_nodes_moved)
+    code = run(
+        command, "--model-file", str(workdir / "baseline.model"),
+        "--soundings", str(camp / "soundings.csv"), "--weather", str(weather),
+        "--bbox", "52,8,58,16", "--res", "2.0", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "note: skipped 162 sounding(s) without nearby weather" in err
+
+
+def test_build_dataset_empty_weather_window_exit_3(small_campaign_dir, tmp_path, capsys):
+    camp = small_campaign_dir
+    weather = _rewrite_weather(camp / "weather.csv", tmp_path / "w.csv", _at_three_am)
+    code = run(
+        "build-dataset",
+        "--soundings", str(camp / "soundings.csv"),
+        "--stations", str(camp / "stations.csv"),
+        "--series", str(camp / "station_series.csv"),
+        "--weather", str(weather),
+        "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 3
+    assert "(930 soundings, 785 unmatched, 145 stale-weather)" in capsys.readouterr().err
