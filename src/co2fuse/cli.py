@@ -1,12 +1,15 @@
 """Command-line pipeline driver.
 
 Subcommands: build-dataset, train, evaluate, predict-grid, sweep,
-importance, synth. Flags may also be given in a line-oriented config file
-(`key = value`, `#` comments, keys spelled like the long flags); explicit
-flags win over config values and unknown config keys are errors.
+importance, synth. Each command's options are declared once, in COMMANDS:
+flag, cast, default and any argparse extras. Every flag is also a key of a
+line-oriented config file (`key = value`, `#` comments, keys spelled like
+the long flags, with `-` or `_`); explicit flags win over config values,
+config values over the defaults, and unknown config keys are errors. A bad
+flag value is a usage error (64), a bad config value a bad input (2).
 
-All randomness derives from the single --seed flag plus a fixed per-command
-offset (train +1, synth +2, importance +3; the other commands draw nothing).
+Only train, synth and importance draw random numbers. Their --seed plus a
+fixed per-command offset (train +1, synth +2, importance +3) seeds them.
 
 With -v/--verbose (before the subcommand) the INFO log lines go to stderr:
 rows dropped as malformed or by the quality flag or the weather window, and
@@ -20,14 +23,15 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
-
-import numpy as np
 
 from . import fusion, ingest, interpolate, metrics
 from .errors import Co2FuseError, EmptyDatasetError, NoDataError
 from .geo import BoundingBox, GridSpec
 from .importance import (
+    DEFAULT_REPEATS,
+    DEFAULT_SHAPLEY_ROWS,
     REPORT_CSV_HEADER,
     bar_summary,
     permutation_importance,
@@ -48,9 +52,11 @@ from .models import (
     train_gbt,
     train_mlp,
 )
+from .models.category import DECODE_MODES
 from .synth import SynthConfig, generate_campaign, write_campaign
 
 SEED_OFFSETS = {"train": 1, "synth": 2, "importance": 3}
+METHODS = ("shapley", "permutation")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,19 +114,21 @@ def _parse_ids(text: str) -> tuple[str, ...]:
     return ids
 
 
-def _resolve(args, option_spec: dict):
-    """Merge CLI values, config-file values and defaults (in that priority)."""
+def _resolve(args) -> SimpleNamespace:
+    """Merge flag values, config-file values and defaults, in that priority.
+
+    Flags are parsed with argparse.SUPPRESS, so a flag not given leaves no
+    attribute on `args`, whatever value the option may legitimately take."""
     config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - set(option_spec)
+    unknown = set(config) - {dest for dest, *_ in args.options}
     if unknown:
         raise ValueError(f"unknown config key(s): {sorted(unknown)}")
     resolved = {}
-    for dest, (default, cast) in option_spec.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            raw = config.get(dest)
-            value = cast(raw) if raw is not None else default
-        resolved[dest] = value
+    for dest, _, cast, default, _ in args.options:
+        if hasattr(args, dest):
+            resolved[dest] = getattr(args, dest)
+        else:
+            resolved[dest] = cast(config[dest]) if dest in config else default
     return SimpleNamespace(**resolved)
 
 
@@ -130,28 +138,16 @@ def _require(ns, *names):
             raise ValueError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
-def _out_stream(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+def _output(path):
+    """The file at `path` for writing, or stdout when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 # ---------------------------------------------------------------- commands
 
-BUILD_OPTIONS = {
-    "soundings": (None, str),
-    "stations": (None, str),
-    "series": (None, str),
-    "weather": (None, str),
-    "radius_km": (25.0, float),
-    "time_window_min": (60.0, float),
-    "weather_window": (ingest.DEFAULT_WEATHER_WINDOW, ingest.parse_weather_window),
-    "no_quality_filter": (False, _parse_bool),
-    "out": ("dataset.csv", str),
-    "seed": (0, int),
-}
-
 
 def cmd_build_dataset(args) -> int:
-    ns = _resolve(args, BUILD_OPTIONS)
+    ns = _resolve(args)
     _require(ns, "soundings", "stations", "series", "weather")
     soundings = ingest.read_soundings(ns.soundings, quality_filter=not ns.no_quality_filter)
     catalog = ingest.read_station_catalog(ns.stations)
@@ -168,52 +164,27 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
-TRAIN_OPTIONS = {
-    "dataset": (None, str),
-    "model": (None, str),
-    "holdout_stations": ((), _parse_ids),
-    "seed": (0, int),
-    "out": ("model.txt", str),
-    "epochs": (200, int),
-    "batch_size": (32, int),
-    "learning_rate": (None, float),  # per-kind default when unset
-    "l2_lambda": (5e-3, float),
-    "n_estimators": (100, int),
-    "max_depth": (6, int),
-    "iterations": (100, int),
-    "classes": (25, int),
-    "l2_leaf_reg": (3.0, float),
-    "decode": ("argmax", str),
-}
-
-
 def _train_model(kind, X, y, ns, seed) -> TrainedModel:
+    # an unset --learning-rate leaves each model kind its own default
+    rate = {} if ns.learning_rate is None else {"learning_rate": ns.learning_rate}
     if kind == "baseline":
         return TrainedModel("baseline", train_baseline(X, y))
     if kind == "gbt":
-        cfg = GbtConfig(
-            max_depth=ns.max_depth,
-            learning_rate=ns.learning_rate if ns.learning_rate is not None else 0.1,
-            n_estimators=ns.n_estimators,
-        )
+        cfg = GbtConfig(max_depth=ns.max_depth, n_estimators=ns.n_estimators, **rate)
         return TrainedModel("gbt", train_gbt(X, y, cfg))
     if kind == "catboost":
         cfg = CatBoostConfig(
             nbr_classes=ns.classes,
             max_depth=ns.max_depth,
-            learning_rate=ns.learning_rate if ns.learning_rate is not None else 0.1,
             iterations=ns.iterations,
             l2_leaf_reg=ns.l2_leaf_reg,
             decode=ns.decode,
+            **rate,
         )
         return TrainedModel("catboost", train_catboost(X, y, cfg))
     if kind == "mlp":
         cfg = MlpConfig(
-            learning_rate=ns.learning_rate if ns.learning_rate is not None else 0.001,
-            l2_lambda=ns.l2_lambda,
-            epochs=ns.epochs,
-            batch_size=ns.batch_size,
-            seed=seed,
+            l2_lambda=ns.l2_lambda, epochs=ns.epochs, batch_size=ns.batch_size, seed=seed, **rate
         )
         stats = fusion.fit_norm_stats(X)
         model = train_mlp(fusion.standardize(X, stats), y, cfg, norm=stats)
@@ -222,7 +193,7 @@ def _train_model(kind, X, y, ns, seed) -> TrainedModel:
 
 
 def cmd_train(args) -> int:
-    ns = _resolve(args, TRAIN_OPTIONS)
+    ns = _resolve(args)
     _require(ns, "dataset", "model")
     dataset = fusion.read_dataset(ns.dataset)
     train, _ = fusion.split_by_station(dataset, set(ns.holdout_stations))
@@ -235,26 +206,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-EVAL_OPTIONS = {
-    "dataset": (None, str),
-    "model_file": (None, lambda s: tuple(s.split(","))),
-    "holdout_stations": (None, _parse_ids),
-    "p_features": (None, int),
-    "out": (None, str),
-    "seed": (0, int),
-}
-
-
 def cmd_evaluate(args) -> int:
-    ns = _resolve(args, EVAL_OPTIONS)
+    ns = _resolve(args)
     _require(ns, "dataset", "model_file", "holdout_stations")
     dataset = fusion.read_dataset(ns.dataset)
     _, test = fusion.split_by_station(dataset, set(ns.holdout_stations))
     if not test:
         raise EmptyDatasetError("holdout stations have no samples to evaluate on")
     X, y = fusion.design_matrix(test)
-    stream = _out_stream(ns.out)
-    try:
+    with _output(ns.out) as stream:
         print(metrics.EVAL_CSV_HEADER, file=stream)
         for path in ns.model_file:
             tm = load(path)
@@ -264,9 +224,6 @@ def cmd_evaluate(args) -> int:
                 p = 1 if tm.kind == "baseline" else fusion.N_FEATURES
             report = metrics.evaluate(y, yhat, p_features=p)
             print(report.csv_row(tm.kind), file=stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -291,21 +248,8 @@ def _prediction_points(model_file, soundings_path, weather_path):
     return points
 
 
-GRID_OPTIONS = {
-    "model_file": (None, str),
-    "soundings": (None, str),
-    "weather": (None, str),
-    "bbox": (None, BoundingBox.parse),
-    "res": (None, float),
-    "k": (interpolate.DEFAULT_GRID_K, _parse_k),
-    "p": (interpolate.DEFAULT_GRID_P, float),
-    "out": ("grid", str),
-    "seed": (0, int),
-}
-
-
 def cmd_predict_grid(args) -> int:
-    ns = _resolve(args, GRID_OPTIONS)
+    ns = _resolve(args)
     _require(ns, "model_file", "soundings", "weather", "bbox", "res")
     points = _prediction_points(ns.model_file, ns.soundings, ns.weather)
     spec = GridSpec(bbox=ns.bbox, resolution=ns.res)
@@ -334,54 +278,26 @@ def cmd_predict_grid(args) -> int:
     return 0
 
 
-SWEEP_OPTIONS = {
-    "model_file": (None, str),
-    "soundings": (None, str),
-    "weather": (None, str),
-    "bbox": (None, BoundingBox.parse),
-    "res": (None, float),
-    "k_list": (interpolate.DEFAULT_K_LIST, _parse_k_list),
-    "p_list": (interpolate.DEFAULT_P_LIST, _parse_p_list),
-    "out": (None, str),
-    "seed": (0, int),
-}
-
-
 def cmd_sweep(args) -> int:
-    ns = _resolve(args, SWEEP_OPTIONS)
+    ns = _resolve(args)
     _require(ns, "soundings", "weather", "bbox", "res")
     points = _prediction_points(ns.model_file, ns.soundings, ns.weather)
     spec = GridSpec(bbox=ns.bbox, resolution=ns.res)
     rows = interpolate.sweep(points, spec, ns.k_list, ns.p_list)
-    stream = _out_stream(ns.out)
-    try:
+    with _output(ns.out) as stream:
         print(interpolate.SWEEP_CSV_HEADER, file=stream)
         for row in rows:
             print(
                 f"{interpolate.format_k(row.k)},{row.p!r},{row.mean_ppm!r},{row.std_ppm!r}",
                 file=stream,
             )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
-IMPORTANCE_OPTIONS = {
-    "model_file": (None, str),
-    "dataset": (None, str),
-    "method": ("shapley", str),
-    "rows": (256, int),
-    "repeats": (5, int),
-    "seed": (0, int),
-    "out": (None, str),
-}
-
-
 def cmd_importance(args) -> int:
-    ns = _resolve(args, IMPORTANCE_OPTIONS)
+    ns = _resolve(args)
     _require(ns, "model_file", "dataset")
-    if ns.method not in ("shapley", "permutation"):
+    if ns.method not in METHODS:
         raise ValueError(f"unknown attribution method {ns.method!r}")
     tm = load(ns.model_file)
     dataset = fusion.read_dataset(ns.dataset)
@@ -401,20 +317,8 @@ def cmd_importance(args) -> int:
     return 0
 
 
-SYNTH_OPTIONS = {
-    "out": (None, str),
-    "bbox": (SynthConfig().bbox, BoundingBox.parse),
-    "n_stations": (SynthConfig().n_stations, int),
-    "n_transects": (SynthConfig().n_transects, int),
-    "soundings_per_transect": (SynthConfig().soundings_per_transect, int),
-    "days": (SynthConfig().days, int),
-    "noise_std": (SynthConfig().noise_std, float),
-    "seed": (0, int),
-}
-
-
 def cmd_synth(args) -> int:
-    ns = _resolve(args, SYNTH_OPTIONS)
+    ns = _resolve(args)
     _require(ns, "out")
     cfg = SynthConfig(
         seed=ns.seed + SEED_OFFSETS["synth"],
@@ -437,13 +341,100 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ parser
+# ----------------------------------------------------------------- options
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--out", help="output path")
+def _opt(flag, cast=str, default=None, **extras):
+    """One option: (dest, flag, cast, default, argparse extras). The cast
+    reads both the flag's text and the config value."""
+    return flag[2:].replace("-", "_"), flag, cast, default, extras
+
+
+def _out(default=None):
+    return _opt("--out", default=default, help="output path")
+
+
+_SEED = _opt("--seed", int, 0, help="base seed (default 0)")
+_RASTER = (
+    _opt("--soundings"),
+    _opt("--weather"),
+    _opt("--bbox", BoundingBox.parse),
+    _opt("--res", float),
+)
+
+# command: (handler, help line, options)
+COMMANDS = {
+    "build-dataset": (cmd_build_dataset, "match soundings to stations and weather", (
+        _opt("--soundings"),
+        _opt("--stations"),
+        _opt("--series"),
+        _opt("--weather"),
+        _opt("--radius-km", float, fusion.MatchConfig.max_distance_km),
+        _opt("--time-window-min", float, fusion.MatchConfig.max_time_minutes),
+        _opt("--weather-window", ingest.parse_weather_window, ingest.DEFAULT_WEATHER_WINDOW),
+        _opt("--no-quality-filter", _parse_bool, False, action="store_const", const=True),
+        _out("dataset.csv"),
+    )),
+    "train": (cmd_train, "train one model kind on non-holdout stations", (
+        _opt("--dataset"),
+        _opt("--model", choices=MODEL_KINDS),
+        _opt("--holdout-stations", _parse_ids, ()),
+        _SEED,
+        _out("model.txt"),
+        _opt("--epochs", int, MlpConfig.epochs),
+        _opt("--batch-size", int, MlpConfig.batch_size),
+        _opt("--learning-rate", float, help="default: the model kind's own"),
+        _opt("--l2-lambda", float, MlpConfig.l2_lambda),
+        _opt("--n-estimators", int, GbtConfig.n_estimators),
+        # gbt and catboost share this flag and its default depth
+        _opt("--max-depth", int, GbtConfig.max_depth),
+        _opt("--iterations", int, CatBoostConfig.iterations),
+        _opt("--classes", int, CatBoostConfig.nbr_classes),
+        _opt("--l2-leaf-reg", float, CatBoostConfig.l2_leaf_reg),
+        _opt("--decode", str, CatBoostConfig.decode, choices=DECODE_MODES),
+    )),
+    "evaluate": (cmd_evaluate, "score model files on the holdout stations", (
+        _opt("--dataset"),
+        _opt("--model-file", lambda s: tuple(s.split(",")),
+             help="one or more model files, comma separated"),
+        _opt("--holdout-stations", _parse_ids),
+        _opt("--p-features", int),
+        _out(),
+    )),
+    "predict-grid": (cmd_predict_grid, "interpolate model predictions onto a raster", (
+        _opt("--model-file"),
+        *_RASTER,
+        _opt("--k", _parse_k, interpolate.DEFAULT_GRID_K, help="neighbours, or 'all'"),
+        _opt("--p", float, interpolate.DEFAULT_GRID_P),
+        _out("grid"),
+    )),
+    "sweep": (cmd_sweep, "(K, p) ablation table over rasterizations", (
+        _opt("--model-file", help="optional; raw xco2 values are swept when omitted"),
+        *_RASTER,
+        _opt("--k-list", _parse_k_list, interpolate.DEFAULT_K_LIST),
+        _opt("--p-list", _parse_p_list, interpolate.DEFAULT_P_LIST),
+        _out(),
+    )),
+    "importance": (cmd_importance, "feature attribution report", (
+        _opt("--model-file"),
+        _opt("--dataset"),
+        _opt("--method", str, METHODS[0], choices=METHODS),
+        _opt("--rows", int, DEFAULT_SHAPLEY_ROWS),
+        _opt("--repeats", int, DEFAULT_REPEATS),
+        _SEED,
+        _out(),
+    )),
+    "synth": (cmd_synth, "generate a synthetic campaign directory", (
+        _out(),
+        _opt("--bbox", BoundingBox.parse, SynthConfig.bbox),
+        _opt("--n-stations", int, SynthConfig.n_stations),
+        _opt("--n-transects", int, SynthConfig.n_transects),
+        _opt("--soundings-per-transect", int, SynthConfig.soundings_per_transect),
+        _opt("--days", int, SynthConfig.days),
+        _opt("--noise-std", float, SynthConfig.noise_std),
+        _SEED,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,88 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log input counts and the match funnel to stderr")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("build-dataset", help="match soundings to stations and weather")
-    _add_common(p)
-    p.add_argument("--soundings")
-    p.add_argument("--stations")
-    p.add_argument("--series")
-    p.add_argument("--weather")
-    p.add_argument("--radius-km", type=float, dest="radius_km")
-    p.add_argument("--time-window-min", type=float, dest="time_window_min")
-    p.add_argument("--weather-window", type=ingest.parse_weather_window, dest="weather_window")
-    p.add_argument("--no-quality-filter", action="store_const", const=True,
-                   dest="no_quality_filter")
-    p.set_defaults(func=cmd_build_dataset)
-
-    p = sub.add_parser("train", help="train one model kind on non-holdout stations")
-    _add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--holdout-stations", type=_parse_ids, dest="holdout_stations")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--l2-lambda", type=float, dest="l2_lambda")
-    p.add_argument("--n-estimators", type=int, dest="n_estimators")
-    p.add_argument("--max-depth", type=int, dest="max_depth")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--l2-leaf-reg", type=float, dest="l2_leaf_reg")
-    p.add_argument("--decode", choices=("argmax", "expectation"))
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score model files on the holdout stations")
-    _add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--model-file", type=lambda s: tuple(s.split(",")), dest="model_file",
-                   help="one or more model files, comma separated")
-    p.add_argument("--holdout-stations", type=_parse_ids, dest="holdout_stations")
-    p.add_argument("--p-features", type=int, dest="p_features")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("predict-grid", help="interpolate model predictions onto a raster")
-    _add_common(p)
-    p.add_argument("--model-file", dest="model_file")
-    p.add_argument("--soundings")
-    p.add_argument("--weather")
-    p.add_argument("--bbox", type=BoundingBox.parse)
-    p.add_argument("--res", type=float)
-    p.add_argument("--k", type=_parse_k)
-    p.add_argument("--p", type=float)
-    p.set_defaults(func=cmd_predict_grid)
-
-    p = sub.add_parser("sweep", help="(K, p) ablation table over rasterizations")
-    _add_common(p)
-    p.add_argument("--model-file", dest="model_file",
-                   help="optional; raw xco2 values are swept when omitted")
-    p.add_argument("--soundings")
-    p.add_argument("--weather")
-    p.add_argument("--bbox", type=BoundingBox.parse)
-    p.add_argument("--res", type=float)
-    p.add_argument("--k-list", type=_parse_k_list, dest="k_list")
-    p.add_argument("--p-list", type=_parse_p_list, dest="p_list")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("importance", help="feature attribution report")
-    _add_common(p)
-    p.add_argument("--model-file", dest="model_file")
-    p.add_argument("--dataset")
-    p.add_argument("--method", choices=("shapley", "permutation"))
-    p.add_argument("--rows", type=int)
-    p.add_argument("--repeats", type=int)
-    p.set_defaults(func=cmd_importance)
-
-    p = sub.add_parser("synth", help="generate a synthetic campaign directory")
-    _add_common(p)
-    p.add_argument("--bbox", type=BoundingBox.parse)
-    p.add_argument("--n-stations", type=int, dest="n_stations")
-    p.add_argument("--n-transects", type=int, dest="n_transects")
-    p.add_argument("--soundings-per-transect", type=int, dest="soundings_per_transect")
-    p.add_argument("--days", type=int)
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.set_defaults(func=cmd_synth)
-
+    for name, (handler, help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        for dest, flag, cast, _, extras in options:
+            typed = extras if "action" in extras else {"type": cast, **extras}
+            p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **typed)
+        p.set_defaults(func=handler, options=options)
     return parser
 
 

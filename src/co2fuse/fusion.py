@@ -78,7 +78,7 @@ class MatchConfig:
     max_time_minutes: float = 60.0
 
     def __post_init__(self):
-        if self.max_distance_km <= 0 or self.max_time_minutes <= 0:
+        if not (self.max_distance_km > 0 and self.max_time_minutes > 0):
             raise ValueError("match thresholds must be positive")
 
 

@@ -33,6 +33,9 @@ import numpy as np
 from .fusion import FEATURE_NAMES, LabeledSample, design_matrix
 from .models.trees import leaf_boxes
 
+DEFAULT_SHAPLEY_ROWS = 256
+DEFAULT_REPEATS = 5
+
 
 @dataclass(frozen=True)
 class AttributionEntry:
@@ -144,7 +147,7 @@ def shapley_attribution(
     rows: np.ndarray | Sequence[LabeledSample],
     background: np.ndarray | Sequence[LabeledSample],
     seed: int = 0,
-    max_rows: int = 256,
+    max_rows: int = DEFAULT_SHAPLEY_ROWS,
 ) -> AttributionReport:
     """Mean absolute exact Shapley value per feature over the explained rows.
 
@@ -153,6 +156,8 @@ def shapley_attribution(
     """
     from .models import predict_batch
 
+    if max_rows < 1:
+        raise ValueError("max_rows must be >= 1")
     X_rows = rows if isinstance(rows, np.ndarray) else design_matrix(list(rows))[0]
     X_bg = background if isinstance(background, np.ndarray) else design_matrix(list(background))[0]
     if X_bg.shape[0] == 0:
@@ -185,7 +190,7 @@ def shapley_attribution(
 def permutation_importance(
     model,
     dataset: Sequence[LabeledSample] | tuple[np.ndarray, np.ndarray],
-    repeats: int = 5,
+    repeats: int = DEFAULT_REPEATS,
     seed: int = 0,
 ) -> AttributionReport:
     """Mean RMSE increase per feature over `repeats` column shuffles."""

@@ -36,7 +36,7 @@ class CatBoostConfig:
             raise ValueError("max_depth and iterations must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.l2_leaf_reg < 0.0:
+        if not self.l2_leaf_reg >= 0.0:
             raise ValueError("l2_leaf_reg must be >= 0")
         if self.decode not in DECODE_MODES:
             raise ValueError(f"decode must be one of {DECODE_MODES}")

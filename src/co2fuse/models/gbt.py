@@ -28,7 +28,7 @@ class GbtConfig:
             raise ValueError("max_depth and n_estimators must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.min_split_gain < 0.0:
+        if not self.min_split_gain >= 0.0:
             raise ValueError("min_split_gain must be >= 0")
 
 

@@ -40,11 +40,11 @@ class MlpConfig:
     def __post_init__(self):
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be positive")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
+        if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("learning_rate, epochs and batch_size must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.l2_lambda < 0.0:
+        if not self.l2_lambda >= 0.0:
             raise ValueError("l2_lambda must be >= 0")
 
 

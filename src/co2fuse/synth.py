@@ -61,7 +61,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_stations < 1 or self.n_transects < 1 or self.soundings_per_transect < 1:
             raise ValueError("station/transect counts must be >= 1")
-        if self.noise_std < 0.0:
+        if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be >= 0")
         if self.days < 1:
             raise ValueError("days must be >= 1")

@@ -3,6 +3,7 @@ import filecmp
 import os
 import subprocess
 import sys
+from datetime import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from co2fuse import cli, fusion
+from co2fuse.geo import BoundingBox
 from co2fuse.models import load, predict_batch
 
 from oracles import naive_knn
@@ -450,3 +452,273 @@ def test_build_dataset_empty_weather_window_exit_3(small_campaign_dir, tmp_path,
     )
     assert code == 3
     assert "(930 soundings, 785 unmatched, 145 stale-weather)" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ the CLI surface
+
+class _Resolved(Exception):
+    """Carries a command's resolved options out of `cli.main`."""
+
+
+def resolved(monkeypatch, *argv) -> dict:
+    """The options `co2fuse argv` resolves, before the command reads any file."""
+    real = cli._resolve
+
+    def stop_after_resolving(*args, **kwargs):
+        raise _Resolved(vars(real(*args, **kwargs)))
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_resolve", stop_after_resolving)
+        with pytest.raises(_Resolved) as caught:
+            run(*argv)
+    return caught.value.args[0]
+
+
+SEEDED = ("train", "synth", "importance")
+
+DEFAULTS = {
+    "build-dataset": dict(
+        soundings=None, stations=None, series=None, weather=None, radius_km=25.0,
+        time_window_min=60.0, weather_window=(time(9, 0), time(15, 0)),
+        no_quality_filter=False, out="dataset.csv",
+    ),
+    "train": dict(
+        dataset=None, model=None, holdout_stations=(), seed=0, out="model.txt", epochs=200,
+        batch_size=32, learning_rate=None, l2_lambda=5e-3, n_estimators=100, max_depth=6,
+        iterations=100, classes=25, l2_leaf_reg=3.0, decode="argmax",
+    ),
+    "evaluate": dict(
+        dataset=None, model_file=None, holdout_stations=None, p_features=None, out=None,
+    ),
+    "predict-grid": dict(
+        model_file=None, soundings=None, weather=None, bbox=None, res=None, k=200, p=0.05,
+        out="grid",
+    ),
+    "sweep": dict(
+        model_file=None, soundings=None, weather=None, bbox=None, res=None,
+        k_list=(10, 200, 1000, None), p_list=(1.0, 0.2, 0.0), out=None,
+    ),
+    "importance": dict(
+        model_file=None, dataset=None, method="shapley", rows=256, repeats=5, seed=0, out=None,
+    ),
+    "synth": dict(
+        out=None, bbox=BoundingBox(52.0, 8.0, 58.0, 16.0), n_stations=16, n_transects=160,
+        soundings_per_transect=150, days=365, noise_std=1.0, seed=0,
+    ),
+}
+
+# one non-default value per option, as written after the flag and in a config file
+SAMPLES = {
+    "build-dataset": dict(
+        soundings="s.csv", stations="st.csv", series="se.csv", weather="w.csv",
+        radius_km="12.5", time_window_min="30", weather_window="08:00-16:30",
+        no_quality_filter="true", out="d.csv",
+    ),
+    "train": dict(
+        dataset="d.csv", model="gbt", holdout_stations="ST01,ST02", seed="9", out="m.txt",
+        epochs="7", batch_size="16", learning_rate="0.05", l2_lambda="0.01",
+        n_estimators="12", max_depth="3", iterations="8", classes="10", l2_leaf_reg="1.5",
+        decode="expectation",
+    ),
+    "evaluate": dict(
+        dataset="d.csv", model_file="a.model,b.model", holdout_stations="ST01",
+        p_features="3", out="e.csv",
+    ),
+    "predict-grid": dict(
+        model_file="m.model", soundings="s.csv", weather="w.csv", bbox="50,5,55,10",
+        res="0.5", k="7", p="1.5", out="g",
+    ),
+    "sweep": dict(
+        model_file="m.model", soundings="s.csv", weather="w.csv", bbox="50,5,55,10",
+        res="0.5", k_list="5,all", p_list="2,0.5", out="t.csv",
+    ),
+    "importance": dict(
+        model_file="m.model", dataset="d.csv", method="permutation", rows="16", repeats="2",
+        seed="4", out="i.csv",
+    ),
+    "synth": dict(
+        out="c", bbox="50,5,55,10", n_stations="3", n_transects="4",
+        soundings_per_transect="5", days="6", noise_std="0.5", seed="2",
+    ),
+}
+
+OPTION_CASES = [(c, d, v) for c, opts in SAMPLES.items() for d, v in opts.items()]
+OPTION_CASES.append(("predict-grid", "k", "all"))
+
+
+def _flag_argv(dest, value):
+    flag = "--" + dest.replace("_", "-")
+    return [flag] if dest == "no_quality_filter" else [flag, value]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_resolved_defaults(monkeypatch, command):
+    assert resolved(monkeypatch, command) == DEFAULTS[command]
+
+
+@pytest.mark.parametrize("command, dest, value", OPTION_CASES)
+def test_flag_and_config_key_resolve_alike(monkeypatch, tmp_path, command, dest, value):
+    from_flag = resolved(monkeypatch, command, *_flag_argv(dest, value))[dest]
+    assert from_flag != DEFAULTS[command][dest]
+    for key in (dest.replace("_", "-"), dest):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert resolved(monkeypatch, command, "--config", str(cfg))[dest] == from_flag
+
+
+def test_k_all_rasterizes_every_point(small_campaign_dir, workdir, tmp_path):
+    camp = small_campaign_dir
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("k = all\n")
+    common = (
+        "predict-grid", "--model-file", str(workdir / "baseline.model"),
+        "--soundings", str(camp / "soundings.csv"), "--weather", str(camp / "weather.csv"),
+        "--bbox", "52,8,58,16", "--res", "2.0",
+    )
+    assert run(*common, "--k", "all", "--out", str(tmp_path / "flag")) == 0
+    assert run(*common, "--config", str(cfg), "--out", str(tmp_path / "config")) == 0
+    assert run(*common, "--out", str(tmp_path / "k200")) == 0
+    flag = (tmp_path / "flag.csv").read_bytes()
+    assert flag == (tmp_path / "config.csv").read_bytes()
+    assert flag != (tmp_path / "k200.csv").read_bytes()
+    assert "k = all" in (tmp_path / "flag.pgm.txt").read_text()
+
+
+@pytest.mark.parametrize("command", sorted(set(DEFAULTS) - set(SEEDED)))
+def test_seed_only_where_randomness_is_drawn(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--seed", "1")
+    assert exc.value.code == 64
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 1\n")
+    capsys.readouterr()
+    assert run(command, "--config", str(cfg)) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+BAD_VALUES = [
+    ("build-dataset", "radius_km", "near"),
+    ("build-dataset", "weather_window", "16:00-08:00"),
+    ("train", "epochs", "1.5"),
+    ("train", "holdout_stations", ","),
+    ("evaluate", "p_features", "two"),
+    ("predict-grid", "bbox", "50,5,55"),
+    ("predict-grid", "k", "0"),
+    ("sweep", "k_list", "5,-1"),
+    ("sweep", "p_list", "1,a"),
+    ("importance", "rows", "x"),
+    ("synth", "days", "1e3"),
+]
+
+
+@pytest.mark.parametrize("command, dest, value", BAD_VALUES)
+def test_bad_flag_value_is_usage_error_and_bad_config_value_exit_2(
+    tmp_path, capsys, command, dest, value
+):
+    with pytest.raises(SystemExit) as exc:
+        run(command, *_flag_argv(dest, value))
+    assert exc.value.code == 64
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{dest} = {value}\n")
+    capsys.readouterr()
+    assert run(command, "--config", str(cfg)) == 2
+    assert "required" not in capsys.readouterr().err
+
+
+def test_bad_boolean_config_value_exit_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("no-quality-filter = maybe\n")
+    assert run("build-dataset", "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--model", "forest"),
+    ("train", "--decode", "median"),
+    ("importance", "--method", "lime"),
+])
+def test_bad_choice_is_usage_error(command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(command, flag, value)
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_unknown_flag_is_usage_error_and_unknown_key_exit_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--no-such-option", "1")
+    assert exc.value.code == 64
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("no-such-option = 1\n")
+    capsys.readouterr()
+    assert run(command, "--config", str(cfg)) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_choice_is_not_checked_by_the_parser(workdir, tmp_path):
+    cfg = tmp_path / "forest.cfg"
+    cfg.write_text("model = forest\n")
+    code = run("train", "--config", str(cfg), "--dataset", str(workdir / "dataset.csv"),
+               "--out", str(tmp_path / "m"))
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out
+
+
+def _hooked_command(name, workdir, out):
+    """A command on the small campaign that calls `cli.<name>`."""
+    dataset = str(workdir / "dataset.csv")
+    model = str(workdir / "gbt.model")
+    train = ["train", "--dataset", dataset, "--holdout-stations", "ST01", "--out", str(out)]
+    evaluate = ["evaluate", "--dataset", dataset, "--model-file", model,
+                "--holdout-stations", "ST01", "--out", str(out)]
+    synth = ["synth", "--out", str(out), "--n-stations", "2", "--n-transects", "2",
+             "--soundings-per-transect", "5", "--days", "3"]
+    return {
+        "train_baseline": [*train, "--model", "baseline"],
+        "train_gbt": [*train, "--model", "gbt", "--n-estimators", "2"],
+        "train_catboost": [*train, "--model", "catboost", "--iterations", "1"],
+        "train_mlp": [*train, "--model", "mlp", "--epochs", "1"],
+        "save": [*train, "--model", "baseline"],
+        "load": evaluate,
+        "predict_batch": evaluate,
+        "shapley_attribution": ["importance", "--model-file", model, "--dataset", dataset,
+                                "--rows", "2", "--out", str(out)],
+        "generate_campaign": synth,
+        "write_campaign": synth,
+    }[name]
+
+
+# the benchmark's trace wraps these names on co2fuse.cli
+@pytest.mark.parametrize("name", [
+    "train_baseline", "train_gbt", "train_catboost", "train_mlp", "save", "load",
+    "predict_batch", "shapley_attribution", "generate_campaign", "write_campaign",
+])
+def test_cli_calls_its_hooked_names_through_the_module(monkeypatch, workdir, tmp_path, name):
+    real = getattr(cli, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert run(*_hooked_command(name, workdir, tmp_path / "out")) == 0
+    assert calls
+
+
+@pytest.mark.parametrize("rows", ["0", "-1"])
+def test_importance_rejects_fewer_than_one_row(workdir, tmp_path, capsys, rows):
+    code = run(
+        "importance", "--model-file", str(workdir / "gbt.model"),
+        "--dataset", str(workdir / "dataset.csv"), "--rows", rows,
+        "--out", str(tmp_path / "imp.csv"),
+    )
+    assert code == 2
+    assert "max_rows must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "imp.csv").exists()

@@ -308,6 +308,13 @@ def test_match_config_validation():
         MatchConfig(max_time_minutes=-5)
 
 
+@pytest.mark.parametrize("field", ["max_distance_km", "max_time_minutes"])
+def test_match_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        MatchConfig(**{field: float("nan")})
+    assert MatchConfig(**{field: 1e-9}) is not None
+
+
 def _north_nodes_moved(archive):
     """The archive with every node from 56 N moved 20 degrees north."""
     return WeatherArchive(

@@ -61,6 +61,13 @@ def test_config_validation():
         CatBoostConfig(l2_leaf_reg=-1)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "l2_leaf_reg"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        CatBoostConfig(**{field: float("nan")})
+    assert CatBoostConfig(l2_leaf_reg=0.0).l2_leaf_reg == 0.0
+
+
 def test_deterministic():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 3))

@@ -62,6 +62,13 @@ def test_config_validation():
         GbtConfig(min_split_gain=-1.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "min_split_gain"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        GbtConfig(**{field: float("nan")})
+    assert GbtConfig(min_split_gain=0.0).min_split_gain == 0.0
+
+
 def test_deterministic_across_runs():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(100, 4))

@@ -124,6 +124,13 @@ def test_config_validation():
         MlpConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "l2_lambda", "momentum"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        MlpConfig(**{field: float("nan")})
+    assert MlpConfig(l2_lambda=0.0, momentum=0.0).l2_lambda == 0.0
+
+
 def test_predict_batch_matches_forward_bit_for_bit():
     rng = np.random.default_rng(8)
     X = rng.normal(415, 5, size=(300, 14))

@@ -108,6 +108,12 @@ def test_config_validation():
         SynthConfig(days=0)
 
 
+def test_config_rejects_nan():
+    with pytest.raises(ValueError):
+        SynthConfig(noise_std=float("nan"))
+    assert SynthConfig(noise_std=0.0).noise_std == 0.0
+
+
 def test_matchable_by_construction(small_dataset):
     # transects pass near stations, so a healthy fraction must match
     assert len(small_dataset) > 50
