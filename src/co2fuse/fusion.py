@@ -12,7 +12,9 @@ distance is searched (`searchsorted` on its int64 microsecond times) and the
 winner minimizes (|dt|, time), earlier nodes winning full ties. For stations,
 each station's nearest observation is checked against the time window and
 the first qualifying station in (distance, station_id) order wins. The
-features are then assembled from columns. `nearest_weather` and
+station series and the weather archive are column tables, so a match is a
+series row and a weather winner an archive row, and the features and
+labels are gathered from those columns. `nearest_weather` and
 `assemble_features` are the one-sounding cases of the same code.
 """
 
@@ -30,20 +32,20 @@ from .errors import (
     DegenerateFeatureError,
     EmptyDatasetError,
     NoDataError,
+    SchemaError,
     StaleWeatherError,
 )
 from .geo import EARTH_RADIUS_KM, haversine_km
 from .ingest import (
     SoundingRecord,
     Station,
-    StationObservation,
+    StationSeries,
     WeatherArchive,
-    WeatherSample,
     epoch_years,
     format_timestamp,
     parse_timestamp,
     to_micros,
-    weather_fields,
+    write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -201,12 +203,13 @@ def weather_features(
     row, dist, dt = _join_weather(lat, lon, t, archive)
     usable = ~_stale(dist, dt)
     kept = [s for s, ok in zip(soundings, usable) if ok]
-    weather = archive.fields(row[usable])
+    weather = archive.values[row[usable]]
     return _features(kept, lat[usable], lon[usable], t[usable], weather), usable
 
 
-def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> WeatherSample:
-    """Weather sample minimizing (geodesic distance, |dt|) lexicographically.
+def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> np.ndarray:
+    """The nine weather fields (WEATHER_COLUMNS[3:] order) of the sample
+    minimizing (geodesic distance, |dt|) lexicographically.
 
     Distance ties between nodes resolve on |dt|, then the earlier timestamp.
     Raises NoDataError for an empty archive and StaleWeatherError when the
@@ -220,45 +223,46 @@ def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> Weathe
             f"nearest weather sample is {dmin:.1f} km / {dt / 3600.0:.1f} h away "
             f"(limits {STALE_WEATHER_KM:.1f} km, {STALE_WEATHER_HOURS:.0f} h)"
         )
-    return archive.samples[archive.sample_index[row]]
+    return archive.values[row]
 
 
-def assemble_features(sounding: SoundingRecord, weather: WeatherSample) -> np.ndarray:
-    """Build the canonical 14-feature vector for one sounding."""
+def assemble_features(sounding: SoundingRecord, weather: np.ndarray) -> np.ndarray:
+    """Build the canonical 14-feature vector for one sounding and the nine
+    fields of its weather sample."""
     lat, lon, t = _sounding_columns([sounding])
-    return _features([sounding], lat, lon, t, np.array([weather_fields(weather)]))[0]
+    return _features([sounding], lat, lon, t, weather[None, :])[0]
 
 
-def _series_by_station(series: list[StationObservation]) -> dict[str, tuple]:
-    """Station id -> (sorted int64 times, the observations in that order);
+def _series_by_station(series: StationSeries) -> dict[str, tuple]:
+    """Station id -> (sorted int64 times, the series rows in that order);
     equal times keep input order."""
-    by_station: dict[str, list[StationObservation]] = {}
-    for o in series:
-        by_station.setdefault(o.station_id, []).append(o)
+    by_station: dict[str, list[int]] = {}
+    for i, sid in enumerate(series.station_id.tolist()):
+        by_station.setdefault(sid, []).append(i)
     index = {}
-    for sid, observations in by_station.items():
-        times = to_micros([o.time for o in observations])
-        order = np.argsort(times, kind="stable")
-        index[sid] = (times[order], [observations[i] for i in order])
+    for sid, rows in by_station.items():
+        rows = np.array(rows)[np.argsort(series.time[rows], kind="stable")]
+        index[sid] = (series.time[rows], rows)
     return index
 
 
 def match_stations(
     soundings: list[SoundingRecord],
     catalog: list[Station],
-    series: list[StationObservation],
+    series: StationSeries,
     cfg: MatchConfig = MatchConfig(),
-) -> tuple[np.ndarray, list[StationObservation | None], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match each sounding to the spatially nearest qualifying station.
 
     A station qualifies if it is within cfg.max_distance_km and has at least
     one observation within +/- cfg.max_time_minutes of the sounding time; the
     observation nearest in (|dt|, earlier time) is taken. Distance ties break
-    on station_id. Returns per sounding the catalog index of the station (-1
-    when nothing qualifies), its observation (None) and the distance in km.
+    on station_id. Returns per sounding the catalog index of the station and
+    the series row of its observation (both -1 when nothing qualifies), and
+    the distance in km (nan).
     """
     station = np.full(len(soundings), -1)
-    obs: list[StationObservation | None] = [None] * len(soundings)
+    obs = np.full(len(soundings), -1)
     dist = np.full(len(soundings), np.nan)
     if not catalog:
         return station, obs, dist
@@ -291,7 +295,7 @@ def match_stations(
 def build_dataset(
     soundings: list[SoundingRecord],
     catalog: list[Station],
-    series: list[StationObservation],
+    series: StationSeries,
     archive: WeatherArchive,
     cfg: MatchConfig = MatchConfig(),
 ) -> list[LabeledSample]:
@@ -304,15 +308,16 @@ def build_dataset(
     station, obs, dist = match_stations(soundings, catalog, series, cfg)
     matched = np.flatnonzero(station >= 0)
     X, usable = weather_features([soundings[i] for i in matched], archive)
+    kept = matched[usable]
     samples = [
         LabeledSample(
             features=x,
-            label=obs[i].co2,
+            label=label,
             station_id=catalog[station[i]].station_id,
             sounding_time=soundings[i].time,
             station_distance_km=float(dist[i]),
         )
-        for i, x in zip(matched[usable], X)
+        for i, x, label in zip(kept, X, series.co2[obs[kept]].tolist())
     ]
     total = len(soundings)
     unmatched = total - len(matched)
@@ -382,25 +387,16 @@ DATASET_EXTRA_COLUMNS = ("label_ppm", "station_id", "time_utc", "distance_km")
 
 def write_dataset(dataset: list[LabeledSample], path) -> None:
     """Cache a dataset as CSV: the 14 canonical features plus label columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FEATURE_NAMES + DATASET_EXTRA_COLUMNS)
-        for s in dataset:
-            w.writerow(
-                [repr(float(x)) for x in s.features]
-                + [
-                    repr(float(s.label)),
-                    s.station_id,
-                    format_timestamp(s.sounding_time),
-                    repr(float(s.station_distance_km)),
-                ]
-            )
+    write_csv(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, (
+        [repr(float(x)) for x in s.features]
+        + [repr(float(s.label)), s.station_id, format_timestamp(s.sounding_time),
+           repr(float(s.station_distance_km))]
+        for s in dataset
+    ))
 
 
 def read_dataset(path) -> list[LabeledSample]:
     """Read a dataset.csv written by write_dataset."""
-    from .errors import SchemaError
-
     expected = FEATURE_NAMES + DATASET_EXTRA_COLUMNS
     dataset = []
     with open(path, "r", encoding="utf-8", newline="") as fh:

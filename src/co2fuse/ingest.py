@@ -13,6 +13,9 @@ Readers are single-pass and never crash on arbitrary bytes: bad rows are
 counted and skipped (logged), and files that are mostly garbage raise
 CorruptInputError. The station catalog is the exception: it is small and
 foundational, so any invalid row there is a SchemaError.
+
+Soundings and stations are lists of records; the station series and the
+weather are numpy columns (`StationSeries`, `WeatherArchive`).
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -82,86 +83,51 @@ class Station:
     elevation_m: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class StationObservation:
-    """One hourly ground-level CO2 average (ppm)."""
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class StationSeries:
+    """Hourly ground-level CO2 averages (ppm) as columns, one row per
+    observation: station ids (an object array of str), int64 UTC
+    microsecond times and float64 values."""
 
-    station_id: str
-    time: datetime
-    co2: float
+    station_id: np.ndarray
+    time: np.ndarray
+    co2: np.ndarray
 
-
-@dataclass(frozen=True)
-class WeatherSample:
-    """Weather fields at one grid node and time.
-
-    vint_temperature is passed through in source units (the upstream archive
-    does not document them).
-    """
-
-    time: datetime
-    location: GeoPoint
-    u10: float
-    v10: float
-    surface_pressure: float
-    t2m: float
-    skin_temperature: float
-    vint_temperature: float
-    tcwv: float
-    cloud_base_height: float
-    total_cloud_cover: float
-
-
-# WeatherSample's fields in feature order (FEATURE_NAMES[5:] in fusion)
-weather_fields = attrgetter(
-    "u10",
-    "v10",
-    "surface_pressure",
-    "t2m",
-    "skin_temperature",
-    "vint_temperature",
-    "tcwv",
-    "cloud_base_height",
-    "total_cloud_cover",
-)
+    def __len__(self) -> int:
+        return len(self.time)
 
 
 class WeatherArchive:
     """Weather samples as node-major columns, built once.
 
-    Nodes are the distinct (latitude, longitude) pairs in sorted order. Row r
-    of `times` (int64 UTC microseconds) is sample `samples[sample_index[r]]`;
-    node n owns rows node_offsets[n]:node_offsets[n + 1], sorted by time,
-    equal times in input order. The field values stay in the records, and
-    `fields(rows)` gathers them for the rows a join picked.
+    Row r is the sample at `times[r]` (int64 UTC microseconds) and
+    (`latitudes[r]`, `longitudes[r]`), with its nine fields in `values[r]`
+    (WEATHER_COLUMNS[3:] order; vint_temperature in the source units, which
+    the upstream archive does not document). Nodes are the distinct
+    (latitude, longitude) pairs in sorted order; node n owns rows
+    node_offsets[n]:node_offsets[n + 1], sorted by time, equal times in
+    input order.
     """
 
-    def __init__(self, samples: Iterable[WeatherSample]):
-        self.samples = sorted(
-            samples, key=lambda s: (s.time, s.location.latitude, s.location.longitude)
-        )
-        # self.samples is in time order, so a stable sort on the node keeps it
-        n = len(self.samples)
-        lats = np.fromiter((s.location.latitude for s in self.samples), np.float64, n)
-        lons = np.fromiter((s.location.longitude for s in self.samples), np.float64, n)
-        self.sample_index = np.lexsort((lons, lats))
-        lats, lons = lats[self.sample_index], lons[self.sample_index]
-        new_node = np.ones(len(lats), dtype=bool)
+    def __init__(self, times, latitudes, longitudes, values):
+        times = np.asarray(times, dtype=np.int64)
+        latitudes = np.asarray(latitudes, dtype=np.float64)
+        longitudes = np.asarray(longitudes, dtype=np.float64)
+        order = np.lexsort((times, longitudes, latitudes))
+        self.times = times[order]
+        self.latitudes = latitudes[order]
+        self.longitudes = longitudes[order]
+        self.values = np.asarray(values, dtype=np.float64).reshape(-1, 9)[order]
+        lats, lons = self.latitudes, self.longitudes
+        new_node = np.ones(len(order), dtype=bool)
         new_node[1:] = (lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1])
         starts = np.flatnonzero(new_node)
-        self.node_offsets = np.append(starts, len(lats))
+        self.node_offsets = np.append(starts, len(order))
         self.node_latitudes = lats[starts]
         self.node_longitudes = lons[starts]
-        self.times = to_micros([self.samples[i].time for i in self.sample_index])
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def fields(self, rows: np.ndarray) -> np.ndarray:
-        """The nine `weather_fields` of node-major rows, one row each."""
-        samples = (self.samples[i] for i in self.sample_index[rows])
-        values = chain.from_iterable(map(weather_fields, samples))
-        return np.fromiter(values, np.float64, 9 * len(rows)).reshape(-1, 9)
+        return len(self.times)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -172,7 +138,11 @@ def parse_timestamp(text: str) -> datetime:
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
-    return dt.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        dt = dt.astimezone(timezone.utc)
+    except OverflowError as exc:  # e.g. 0001-01-01T00:30:00+01:00
+        raise ValueError(f"timestamp {text!r} is outside the years 1-9999 in UTC") from exc
+    return dt.replace(microsecond=0)
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -186,6 +156,14 @@ _MICROSECOND = timedelta(microseconds=1)
 def to_micros(times: list[datetime]) -> np.ndarray:
     """Aware datetimes as int64 UTC microseconds since 1970, exactly."""
     return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
+
+
+def _timestamp_texts(micros: np.ndarray) -> list[str]:
+    """format_timestamp of int64 UTC microsecond times, each distinct time
+    formatted once."""
+    micros = micros.tolist()
+    texts = {m: format_timestamp(_EPOCH + m * _MICROSECOND) for m in set(micros)}
+    return [texts[m] for m in micros]
 
 
 def epoch_years(micros: np.ndarray) -> np.ndarray:
@@ -289,9 +267,10 @@ def read_station_catalog(path) -> list[Station]:
     return stations
 
 
-def read_station_series(path) -> list[StationObservation]:
-    """Read hourly station CO2 series; gaps are fine, duplicates are not."""
-    obs = []
+def read_station_series(path) -> StationSeries:
+    """Read hourly station CO2 series, sorted by (station_id, time); gaps are
+    fine, duplicates are not."""
+    sids, times, co2s = [], [], []
     seen: set[tuple[str, datetime]] = set()
     total = malformed = 0
     for row in _rows(path, SERIES_COLUMNS):
@@ -311,10 +290,18 @@ def read_station_series(path) -> list[StationObservation]:
         if key in seen:
             raise DuplicateKeyError(f"{path}: duplicate observation {sid!r} @ {format_timestamp(t)}")
         seen.add(key)
-        obs.append(StationObservation(sid, t, co2))
+        sids.append(sid)
+        times.append(t)
+        co2s.append(co2)
     _corrupt_gate(path, total, malformed, "series")
-    obs.sort(key=lambda o: (o.station_id, o.time))
-    return obs
+    # rank the ids with Python's string order: numpy's <U strings drop
+    # trailing NULs
+    rank = {sid: r for r, sid in enumerate(sorted(set(sids)))}
+    micros = to_micros(times)
+    order = np.lexsort((micros, np.array([rank[sid] for sid in sids], dtype=np.int64)))
+    return StationSeries(
+        np.array(sids, dtype=object)[order], micros[order], np.array(co2s, dtype=np.float64)[order]
+    )
 
 
 DEFAULT_WEATHER_WINDOW = (time(9, 0), time(15, 0))
@@ -337,17 +324,14 @@ def parse_weather_window(text: str) -> tuple[time, time]:
 def read_weather(path, window: tuple[time, time] = DEFAULT_WEATHER_WINDOW) -> WeatherArchive:
     """Read weather samples, dropping those outside the daily UTC window
     (default 09:00-15:00, both ends inclusive)."""
-    samples = []
+    times, lats, lons, values = [], [], [], []
     total = malformed = dropped_window = 0
     for row in _rows(path, WEATHER_COLUMNS):
         total += 1
         try:
             t = parse_timestamp(row["time_utc"])
             loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
-            fields = [
-                _finite(float(row[c]))
-                for c in WEATHER_COLUMNS[3:]
-            ]
+            fields = [_finite(float(row[c])) for c in WEATHER_COLUMNS[3:]]
             tcc = fields[-1]
             if not 0.0 <= tcc <= 1.0:
                 raise ValueError(f"total_cloud_cover {tcc} outside [0, 1]")
@@ -357,88 +341,68 @@ def read_weather(path, window: tuple[time, time] = DEFAULT_WEATHER_WINDOW) -> We
         if not window[0] <= t.time() <= window[1]:
             dropped_window += 1
             continue
-        samples.append(WeatherSample(t, loc, *fields))
+        times.append(t)
+        lats.append(loc.latitude)
+        lons.append(loc.longitude)
+        values.append(fields)
     _corrupt_gate(path, total, malformed, "weather")
     if dropped_window:
         log.warning(
             "%s: dropped %d weather sample(s) outside the %s-%s UTC window",
             path, dropped_window, window[0].strftime("%H:%M"), window[1].strftime("%H:%M"),
         )
-    return WeatherArchive(samples)
+    return WeatherArchive(to_micros(times), lats, lons, values)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_soundings(records: Iterable[SoundingRecord], path) -> None:
+def write_csv(path, columns: tuple[str, ...], rows) -> None:
+    """Write a header row and then the rows as UTF-8 CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SOUNDING_COLUMNS)
-        for r in records:
-            w.writerow(
-                [
-                    format_timestamp(r.time),
-                    _fmt(r.location.latitude),
-                    _fmt(r.location.longitude),
-                    _fmt(r.xco2),
-                    _fmt(r.xco2_uncertainty),
-                    r.quality_flag,
-                ]
-            )
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_soundings(records: Iterable[SoundingRecord], path) -> None:
+    write_csv(path, SOUNDING_COLUMNS, (
+        [format_timestamp(r.time), _fmt(r.location.latitude), _fmt(r.location.longitude),
+         _fmt(r.xco2), _fmt(r.xco2_uncertainty), r.quality_flag]
+        for r in records
+    ))
 
 
 def write_station_catalog(stations: Iterable[Station], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(STATION_COLUMNS)
-        for s in stations:
-            w.writerow(
-                [
-                    s.station_id,
-                    _fmt(s.location.latitude),
-                    _fmt(s.location.longitude),
-                    "" if s.elevation_m is None else _fmt(s.elevation_m),
-                ]
-            )
+    write_csv(path, STATION_COLUMNS, (
+        [s.station_id, _fmt(s.location.latitude), _fmt(s.location.longitude),
+         "" if s.elevation_m is None else _fmt(s.elevation_m)]
+        for s in stations
+    ))
 
 
-def write_station_series(obs: Iterable[StationObservation], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SERIES_COLUMNS)
-        for o in obs:
-            w.writerow([o.station_id, format_timestamp(o.time), _fmt(o.co2)])
+def write_station_series(series: StationSeries, path) -> None:
+    """Write the series rows in their order."""
+    write_csv(path, SERIES_COLUMNS, zip(
+        series.station_id.tolist(), _timestamp_texts(series.time), map(repr, series.co2.tolist())
+    ))
 
 
-def write_weather(samples: Iterable[WeatherSample], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(WEATHER_COLUMNS)
-        for s in samples:
-            w.writerow(
-                [
-                    format_timestamp(s.time),
-                    _fmt(s.location.latitude),
-                    _fmt(s.location.longitude),
-                    _fmt(s.u10),
-                    _fmt(s.v10),
-                    _fmt(s.surface_pressure),
-                    _fmt(s.t2m),
-                    _fmt(s.skin_temperature),
-                    _fmt(s.vint_temperature),
-                    _fmt(s.tcwv),
-                    _fmt(s.cloud_base_height),
-                    _fmt(s.total_cloud_cover),
-                ]
-            )
+def write_weather(archive: WeatherArchive, path) -> None:
+    """Write the archive's samples in (time, latitude, longitude) order,
+    equal keys in input order."""
+    order = np.lexsort((archive.longitudes, archive.latitudes, archive.times))
+    columns = [archive.latitudes[order], archive.longitudes[order], *archive.values[order].T]
+    write_csv(path, WEATHER_COLUMNS, zip(
+        _timestamp_texts(archive.times[order]), *(map(repr, c.tolist()) for c in columns)
+    ))
 
 
 __all__ = [
     "SoundingRecord",
     "Station",
-    "StationObservation",
-    "WeatherSample",
+    "StationSeries",
     "WeatherArchive",
     "read_soundings",
     "read_station_catalog",
@@ -453,7 +417,6 @@ __all__ = [
     "to_epoch_years",
     "to_micros",
     "epoch_years",
-    "weather_fields",
     "parse_weather_window",
     "DEFAULT_WEATHER_WINDOW",
 ]

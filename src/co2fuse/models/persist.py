@@ -189,8 +189,9 @@ class _LineReader:
 
 def load(path) -> TrainedModel:
     """Load a model file; bad magic, version or payload, a negative count, a
-    split on a feature outside the canonical list, a nan or infinite float or
-    a line after the payload raises ModelFormatError."""
+    split on a feature outside the canonical list, normstats or MLP layers of
+    the wrong width, a nan or infinite float or a line after the payload
+    raises ModelFormatError."""
     r = _LineReader(path)
     head = r.next().split()
     if len(head) != 3 or head[0] != MAGIC:
@@ -212,6 +213,9 @@ def load(path) -> TrainedModel:
         std = r.floats("normstats-std")
         if mean.shape != std.shape:
             raise ModelFormatError(f"{path}: normstats mean/std length mismatch")
+        if len(mean) != len(FEATURE_NAMES):
+            raise ModelFormatError(
+                f"{path}: normstats hold {len(mean)} features, expected {len(FEATURE_NAMES)}")
         norm = NormStats(mean=mean, std=std)
 
     try:
@@ -248,6 +252,9 @@ def load(path) -> TrainedModel:
             sizes = [int(s) for s in r.tagged("layers")]
             if len(sizes) < 2:
                 raise ModelFormatError(f"{path}: mlp needs at least two layer sizes")
+            if sizes[0] != len(FEATURE_NAMES) or sizes[-1] != 1:
+                raise ModelFormatError(f"{path}: mlp layers {sizes} must run from "
+                                       f"{len(FEATURE_NAMES)} inputs to 1 output")
             weights = []
             biases = []
             for n_in, n_out in zip(sizes[:-1], sizes[1:]):

@@ -7,7 +7,9 @@ the field at fixed locations with Gaussian noise; satellite transects sample
 it along narrow strips with an additional smooth column offset, mimicking
 the column-versus-ground discrepancy that the context features are supposed
 to explain away. Everything is generated from one seeded RNG, so a campaign
-is byte-reproducible.
+is byte-reproducible. The series and the weather are built as columns: one
+array per station, and one evaluation of the weather law over the whole
+node grid.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .geo import BoundingBox, GeoPoint
 from .ingest import (
     SoundingRecord,
     Station,
-    StationObservation,
+    StationSeries,
     WeatherArchive,
-    WeatherSample,
     epoch_years,
     to_epoch_years,
     to_micros,
@@ -37,6 +38,7 @@ from .ingest import (
 )
 
 DEFAULT_BBOX = BoundingBox(south=52.0, west=8.0, north=58.0, east=16.0)
+_HOUR_MICROS = 3_600_000_000
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class SynthConfig:
 class Campaign(NamedTuple):
     soundings: list[SoundingRecord]
     catalog: list[Station]
-    series: list[StationObservation]
+    series: StationSeries
     archive: WeatherArchive
 
 
@@ -156,21 +158,20 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
         elev = round(float(rng.uniform(0.0, 500.0)), 1)
         catalog.append(Station(f"ST{i:02d}", GeoPoint(lat, lon), elev))
 
-    # hourly ground series over the whole period
-    series = []
+    # hourly ground series over the whole period, station by station
     n_hours = cfg.days * 24
-    hour_times = [cfg.start + timedelta(hours=h) for h in range(n_hours)]
-    hour_years = epoch_years(to_micros(hour_times))
-    for st in catalog:
-        noise = rng.normal(0.0, cfg.noise_std, size=n_hours)
-        co2 = (
-            _field_from_parts(cfg, st.location.latitude, st.location.longitude, hour_years)
-            + noise
-        )
-        series.extend(
-            StationObservation(st.station_id, t, float(v))
-            for t, v in zip(hour_times, co2)
-        )
+    hour_micros = to_micros([cfg.start]) + np.arange(n_hours) * _HOUR_MICROS
+    hour_years = epoch_years(hour_micros)
+    co2 = [
+        _field_from_parts(cfg, st.location.latitude, st.location.longitude, hour_years)
+        + rng.normal(0.0, cfg.noise_std, size=n_hours)
+        for st in catalog
+    ]
+    series = StationSeries(
+        np.repeat(np.array([st.station_id for st in catalog], dtype=object), n_hours),
+        np.tile(hour_micros, len(catalog)),
+        np.concatenate(co2),
+    )
 
     # satellite transects: narrow tilted strips passing near a station
     soundings = []
@@ -201,35 +202,26 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
             + _column_offset(cfg, lats, lons, years % 1.0)
             + noise
         )
-        for i in range(n_per):
-            if not (bbox.west <= lons[i] <= bbox.east):
-                continue
-            soundings.append(
-                SoundingRecord(
-                    times[i],
-                    GeoPoint(float(lats[i]), float(lons[i])),
-                    float(xco2[i]),
-                    float(uncs[i]),
-                    1 if flags[i] else 0,
-                )
-            )
+        soundings += [
+            SoundingRecord(t, GeoPoint(lat, lon), x, unc, int(flag))
+            for t, lat, lon, x, unc, flag in zip(times, lats.tolist(), lons.tolist(),
+                                                 xco2.tolist(), uncs.tolist(), flags.tolist())
+            if bbox.west <= lon <= bbox.east
+        ]
 
-    # weather on the integer-degree lattice, three samples per transect day
-    lat_nodes = range(math.ceil(bbox.south), math.floor(bbox.north) + 1)
-    lon_nodes = range(math.ceil(bbox.west), math.floor(bbox.east) + 1)
-    samples = []
-    for day in sorted(set(transect_days)):
-        for hour in (9, 12, 15):
-            t = cfg.start + timedelta(days=day, hours=hour)
-            yf = to_epoch_years(t) % 1.0
-            for lat in lat_nodes:
-                for lon in lon_nodes:
-                    fields = weather_law(cfg, float(lat), float(lon), yf)
-                    samples.append(
-                        WeatherSample(t, GeoPoint(float(lat), float(lon)),
-                                      *(float(v) for v in fields))
-                    )
-    return Campaign(soundings, catalog, series, WeatherArchive(samples))
+    # weather on the integer-degree lattice, three samples per transect day,
+    # in (time, lat, lon) order; the law sees a node at longitude 180, which
+    # is stored as -180 (GeoPoint's normalization)
+    days = np.array(sorted(set(transect_days)))
+    hours = (24 * days[:, None] + [9, 12, 15]).ravel()
+    lats = np.arange(math.ceil(bbox.south), math.floor(bbox.north) + 1, dtype=np.float64)
+    lons = np.arange(math.ceil(bbox.west), math.floor(bbox.east) + 1, dtype=np.float64)
+    h, lat, k = (a.ravel() for a in np.meshgrid(hours, lats, np.arange(len(lons)), indexing="ij"))
+    t = to_micros([cfg.start]) + h * _HOUR_MICROS
+    fields = weather_law(cfg, lat, lons[k], epoch_years(t) % 1.0)
+    stored_lons = np.array([GeoPoint(0.0, lon).longitude for lon in lons.tolist()])
+    archive = WeatherArchive(t, lat, stored_lons[k], np.stack(fields, axis=1))
+    return Campaign(soundings, catalog, series, archive)
 
 
 def write_campaign(campaign: Campaign, out_dir) -> dict[str, Path]:
@@ -245,5 +237,5 @@ def write_campaign(campaign: Campaign, out_dir) -> dict[str, Path]:
     write_soundings(campaign.soundings, paths["soundings"])
     write_station_catalog(campaign.catalog, paths["stations"])
     write_station_series(campaign.series, paths["series"])
-    write_weather(campaign.archive.samples, paths["weather"])
+    write_weather(campaign.archive, paths["weather"])
     return paths

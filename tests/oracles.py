@@ -191,16 +191,16 @@ def predict_rows_one_at_a_time(root, X):
 # ------------------------------------------------------- per-sounding join
 
 
-def reference_series_index(series):
-    """Station id -> (times, observations), each station's list sorted by
-    time, equal times in input order."""
+def reference_series_index(observations):
+    """Station id -> (times, rows) of (station_id, time, co2) observations:
+    each station's input rows sorted by time, equal times in input order."""
     by_station = {}
-    for obs in series:
-        by_station.setdefault(obs.station_id, []).append(obs)
+    for row, (sid, when, _) in enumerate(observations):
+        by_station.setdefault(sid, []).append((when, row))
     index = {}
-    for sid, obs_list in by_station.items():
-        obs_list.sort(key=lambda o: o.time)
-        index[sid] = ([o.time for o in obs_list], obs_list)
+    for sid, items in by_station.items():
+        items.sort(key=lambda item: item[0])
+        index[sid] = ([when for when, _ in items], [row for _, row in items])
     return index
 
 
@@ -220,7 +220,7 @@ def _nearest_in_window(times, items, when, max_seconds):
 
 
 def reference_match_sounding(sounding, catalog, index, cfg):
-    """(station_id, observation, distance) of the nearest qualifying
+    """(station_id, observation row, distance) of the nearest qualifying
     station, walking stations in (distance, station_id) order; or None."""
     distances = geodesic_km_many(
         sounding.location,
@@ -238,13 +238,14 @@ def reference_match_sounding(sounding, catalog, index, cfg):
     return None
 
 
-def reference_weather_nodes(archive):
-    """Sorted (lat, lon) node keys and each node's time-sorted samples."""
+def reference_weather_nodes(samples):
+    """Sorted (lat, lon) node keys and each node's time-sorted samples, of
+    (time, GeoPoint, fields) samples; equal times stay in input order."""
     by_node = {}
-    for s in archive.samples:
-        by_node.setdefault((s.location.latitude, s.location.longitude), []).append(s)
+    for s in samples:
+        by_node.setdefault((s[1].latitude, s[1].longitude), []).append(s)
     keys = sorted(by_node)
-    return keys, [sorted(by_node[k], key=lambda s: s.time) for k in keys]
+    return keys, [sorted(by_node[k], key=lambda s: s[0]) for k in keys]
 
 
 def reference_nearest_weather(sounding, nodes, stale_km, stale_hours):
@@ -262,7 +263,7 @@ def reference_nearest_weather(sounding, nodes, stale_km, stale_hours):
     for j in np.nonzero(distances == dmin)[0]:
         samples = node_samples[j]
         hit = _nearest_in_window(
-            [s.time for s in samples], samples, sounding.time, math.inf
+            [s[0] for s in samples], samples, sounding.time, math.inf
         )
         if best is None or hit[0] < best[0]:
             best = hit

@@ -1,5 +1,4 @@
 import logging
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from unittest.mock import patch
 
@@ -26,12 +25,13 @@ from co2fuse.fusion import (
     standardize,
 )
 from co2fuse.geo import GeoPoint, geodesic_km_many
+from co2fuse.errors import SchemaError
 from co2fuse.ingest import (
     SoundingRecord,
     Station,
-    StationObservation,
+    StationSeries,
     WeatherArchive,
-    WeatherSample,
+    to_micros,
 )
 
 from oracles import (
@@ -51,40 +51,65 @@ def sounding(lat=0.0, lon=0.0, t=T0, xco2=412.0):
     return SoundingRecord(t, GeoPoint(lat, lon), xco2, 0.5, 0)
 
 
-def weather_sample(lat, lon, t):
-    return WeatherSample(t, GeoPoint(lat, lon), 1.0, 2.0, 101325.0, 288.0,
-                         289.0, 6.5e6, 20.0, 1200.0, 0.5)
+# u10 .. total_cloud_cover of a test weather sample
+WEATHER_FIELDS = (1.0, 2.0, 101325.0, 288.0, 289.0, 6.5e6, 20.0, 1200.0, 0.5)
 
 
-def match_one(s, catalog, series, cfg=MatchConfig()):
-    """The batched station match of one sounding: (station_id, observation,
-    distance), or None when no station qualifies."""
-    (k,), (obs,), (dist,) = match_stations([s], catalog, series, cfg)
-    return None if k < 0 else (catalog[k].station_id, obs, dist)
+def weather_columns(samples):
+    """The archive of (time, GeoPoint, nine fields) samples."""
+    return WeatherArchive(
+        to_micros([t for t, _, _ in samples]),
+        [p.latitude for _, p, _ in samples],
+        [p.longitude for _, p, _ in samples],
+        [fields for _, _, fields in samples],
+    )
+
+
+def numbered_weather(places):
+    """The archive of (lat, lon, time) samples, u10 numbering them in order."""
+    return weather_columns([(t, GeoPoint(lat, lon), (float(i),) + WEATHER_FIELDS[1:])
+                            for i, (lat, lon, t) in enumerate(places)])
+
+
+def series_columns(observations):
+    """The series of (station_id, time, co2) observations, in their order."""
+    return StationSeries(
+        np.array([sid for sid, _, _ in observations], dtype=object),
+        to_micros([t for _, t, _ in observations]),
+        np.array([co2 for _, _, co2 in observations], dtype=np.float64),
+    )
+
+
+def match_one(s, catalog, observations, cfg=MatchConfig()):
+    """The batched station match of one sounding: (station_id, co2 of the
+    observation, distance), or None when no station qualifies."""
+    series = series_columns(observations)
+    (k,), (row,), (dist,) = match_stations([s], catalog, series, cfg)
+    return None if k < 0 else (catalog[k].station_id, series.co2[row], dist)
 
 
 def test_match_within_radius_and_window():
     catalog = [Station("A", GeoPoint(0, 0))]
-    series = [StationObservation("A", T0 + timedelta(minutes=10), 415.0)]
+    series = [("A", T0 + timedelta(minutes=10), 415.0)]
     hit = match_one(sounding(lat=0.0, lon=0.10), catalog, series)
     assert hit is not None
-    sid, obs, dist = hit
+    sid, co2, dist = hit
     assert sid == "A"
-    assert obs.co2 == 415.0
+    assert co2 == 415.0
     assert dist == pytest.approx(haversine_km(0, 0.10, 0, 0), abs=1e-9)
     assert dist < 25.0
 
 
 def test_no_match_beyond_radius():
     catalog = [Station("A", GeoPoint(0, 0))]
-    series = [StationObservation("A", T0, 415.0)]
+    series = [("A", T0, 415.0)]
     # ~30 km north of the station
     assert match_one(sounding(lat=0.27), catalog, series) is None
 
 
 def test_no_match_outside_time_window():
     catalog = [Station("A", GeoPoint(0, 0))]
-    series = [StationObservation("A", T0 + timedelta(minutes=90), 415.0)]
+    series = [("A", T0 + timedelta(minutes=90), 415.0)]
     assert match_one(sounding(), catalog, series) is None
 
 
@@ -94,11 +119,11 @@ def test_nearest_station_wins():
         Station("NEAR", GeoPoint(0.045, 0)),  # ~5 km
     ]
     series = [
-        StationObservation("FAR", T0, 410.0),
-        StationObservation("NEAR", T0, 420.0),
+        ("FAR", T0, 410.0),
+        ("NEAR", T0, 420.0),
     ]
-    sid, obs, _ = match_one(sounding(), catalog, series)
-    assert sid == "NEAR" and obs.co2 == 420.0
+    sid, co2, _ = match_one(sounding(), catalog, series)
+    assert sid == "NEAR" and co2 == 420.0
 
 
 def test_station_distance_tie_breaks_on_id():
@@ -107,8 +132,8 @@ def test_station_distance_tie_breaks_on_id():
         Station("A", GeoPoint(-0.05, 0)),  # same distance south
     ]
     series = [
-        StationObservation("A", T0, 410.0),
-        StationObservation("B", T0, 420.0),
+        ("A", T0, 410.0),
+        ("B", T0, 420.0),
     ]
     sid, _, _ = match_one(sounding(), catalog, series)
     assert sid == "A"
@@ -117,51 +142,51 @@ def test_station_distance_tie_breaks_on_id():
 def test_temporal_tie_prefers_earlier_observation():
     catalog = [Station("A", GeoPoint(0, 0))]
     series = [
-        StationObservation("A", T0 - timedelta(minutes=30), 401.0),
-        StationObservation("A", T0 + timedelta(minutes=30), 402.0),
+        ("A", T0 - timedelta(minutes=30), 401.0),
+        ("A", T0 + timedelta(minutes=30), 402.0),
     ]
-    _, obs, _ = match_one(sounding(), catalog, series)
-    assert obs.co2 == 401.0
+    _, co2, _ = match_one(sounding(), catalog, series)
+    assert co2 == 401.0
 
 
 def test_nearest_weather_picks_nearest_node():
     nodes = [(55, 13), (55, 14), (56, 13), (56, 14)]
-    archive = WeatherArchive([weather_sample(la, lo, T0) for la, lo in nodes])
+    archive = numbered_weather([(la, lo, T0) for la, lo in nodes])
     s = sounding(lat=55.4, lon=13.6)
     best = nearest_weather(s, archive)
     # oracle: nearest of the four candidate nodes by independent haversine
     oracle = min(nodes, key=lambda n: haversine_km(55.4, 13.6, n[0], n[1]))
     assert oracle == (55, 14)
-    assert (best.location.latitude, best.location.longitude) == oracle
+    assert nodes[int(best[0])] == oracle
+    assert tuple(best[1:]) == WEATHER_FIELDS[1:]
 
 
 def test_nearest_weather_exact_node_and_time_tie():
-    archive = WeatherArchive(
-        [weather_sample(55, 13, T0 - timedelta(hours=1)),
-         weather_sample(55, 13, T0 + timedelta(hours=1))]
+    archive = numbered_weather(
+        [(55, 13, T0 + timedelta(hours=1)), (55, 13, T0 - timedelta(hours=1))]
     )
     best = nearest_weather(sounding(lat=55, lon=13), archive)
-    assert best.time == T0 - timedelta(hours=1)  # |dt| tie -> earlier
+    assert best[0] == 1.0  # |dt| tie -> the earlier sample
 
 
 def test_nearest_weather_errors():
     with pytest.raises(NoDataError):
-        nearest_weather(sounding(), WeatherArchive([]))
-    far = WeatherArchive([weather_sample(55, 13, T0)])
+        nearest_weather(sounding(), numbered_weather([]))
+    far = numbered_weather([(55, 13, T0)])
     with pytest.raises(StaleWeatherError):
         nearest_weather(sounding(lat=0, lon=0), far)  # thousands of km away
-    old = WeatherArchive([weather_sample(0, 0, T0 - timedelta(hours=12))])
+    old = numbered_weather([(0, 0, T0 - timedelta(hours=12))])
     with pytest.raises(StaleWeatherError):
         nearest_weather(sounding(), old)
 
 
 def _fixture_inputs():
     catalog = [Station("A", GeoPoint(0, 0)), Station("B", GeoPoint(2, 2))]
-    series = [
-        StationObservation("A", T0, 415.0),
-        StationObservation("B", T0, 418.0),
-    ]
-    archive = WeatherArchive([weather_sample(0, 0, T0), weather_sample(2, 2, T0)])
+    series = series_columns([
+        ("A", T0, 415.0),
+        ("B", T0, 418.0),
+    ])
+    archive = numbered_weather([(0, 0, T0), (2, 2, T0)])
     # 10 soundings: 4 within 25 km of a station with in-window obs
     soundings = [
         sounding(lat=0.05, lon=0.0),                      # near A
@@ -222,13 +247,13 @@ def test_build_dataset_empty_is_error():
 
 def test_feature_vector_canonical_order():
     s = sounding(lat=10.0, lon=20.0)
-    w = weather_sample(10.0, 20.0, T0)
+    w = np.array(WEATHER_FIELDS)
     v = fusion.assemble_features(s, w)
     assert v[FEATURE_NAMES.index("xco2")] == s.xco2
     assert v[FEATURE_NAMES.index("latitude")] == 10.0
     assert v[FEATURE_NAMES.index("longitude")] == 20.0
-    assert v[FEATURE_NAMES.index("t2m")] == w.t2m
-    assert v[FEATURE_NAMES.index("total_cloud_cover")] == w.total_cloud_cover
+    assert v[FEATURE_NAMES.index("t2m")] == 288.0
+    assert v[FEATURE_NAMES.index("total_cloud_cover")] == 0.5
     assert 2020.0 < v[FEATURE_NAMES.index("time_epoch_years")] < 2021.0
 
 
@@ -301,6 +326,19 @@ def test_dataset_csv_round_trip(tmp_path):
         assert a.station_distance_km == b.station_distance_km
 
 
+@pytest.mark.parametrize("t", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_dataset_time_out_of_range_in_utc_is_schema_error(tmp_path, t):
+    path = tmp_path / "dataset.csv"
+    fusion.write_dataset(_toy_dataset(), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[2].split(",")
+    fields[len(FEATURE_NAMES) + 2] = t
+    lines[2] = ",".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(SchemaError, match=":3: timestamp"):
+        fusion.read_dataset(path)
+
+
 def test_match_config_validation():
     with pytest.raises(ValueError):
         MatchConfig(max_distance_km=0.0)
@@ -317,11 +355,9 @@ def test_match_config_rejects_nan(field):
 
 def _north_nodes_moved(archive):
     """The archive with every node from 56 N moved 20 degrees north."""
-    return WeatherArchive(
-        replace(w, location=GeoPoint(w.location.latitude + 20.0, w.location.longitude))
-        if w.location.latitude >= 56.0 else w
-        for w in archive.samples
-    )
+    lats = archive.latitudes
+    return WeatherArchive(archive.times, np.where(lats >= 56.0, lats + 20.0, lats),
+                          archive.longitudes, archive.values)
 
 
 @pytest.mark.parametrize(
@@ -370,8 +406,7 @@ def join_campaigns(draw):
     for node in nodes:
         for seconds in draw(st.lists(st.sampled_from(WEATHER_SECONDS), min_size=1, max_size=3)):
             # u10 numbers the samples, so the chosen one shows in the features
-            samples.append(WeatherSample(when(seconds), at(*node), float(len(samples)),
-                                         2.0, 101325.0, 288.0, 289.0, 6.5e6, 20.0, 1200.0, 0.5))
+            samples.append((when(seconds), at(*node), (float(len(samples)),) + WEATHER_FIELDS[1:]))
     samples += draw(st.lists(st.sampled_from(samples), max_size=2)) if samples else []
 
     ids = draw(st.permutations(["A", "B", "C", "D", "E"]))
@@ -380,7 +415,7 @@ def join_campaigns(draw):
     series = []
     for sid in draw(st.lists(st.sampled_from(ids), max_size=6)):
         for seconds in draw(st.lists(st.sampled_from(OBS_SECONDS), min_size=1, max_size=3)):
-            series.append(StationObservation(sid, when(seconds), 400.0 + len(series)))
+            series.append((sid, when(seconds), 400.0 + len(series)))
     series += draw(st.lists(st.sampled_from(series), max_size=2)) if series else []
 
     # soundings on the mirror centre, on stations and nodes, halfway between
@@ -399,23 +434,23 @@ def join_campaigns(draw):
     (edge,) = geodesic_km_many(at(0.0, 0.0), np.array([lat0 + 0.1]), np.array([lon0]))
     cfg = MatchConfig(max_distance_km=draw(st.sampled_from([float(edge), 15.0, 25.0])),
                       max_time_minutes=draw(st.sampled_from([30.0, 60.0])))
-    return soundings, catalog, series, WeatherArchive(samples), cfg
+    return soundings, catalog, series, samples, cfg
 
 
 def _reference_features(s, w):
     return np.array([s.xco2, s.xco2_uncertainty, s.location.latitude, s.location.longitude,
-                     reference_epoch_years(s.time), w.u10, w.v10, w.surface_pressure, w.t2m,
-                     w.skin_temperature, w.vint_temperature, w.tcwv, w.cloud_base_height,
-                     w.total_cloud_cover])
+                     reference_epoch_years(s.time), *w[2]])
 
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(campaign=join_campaigns(), chunk_rows=st.sampled_from([1, 2, 5, fusion._CHUNK_ROWS]))
 def test_batched_join_matches_per_sounding_oracle(campaign, chunk_rows, caplog):
-    soundings, catalog, series, archive, cfg = campaign
-    index = reference_series_index(series)
-    nodes = reference_weather_nodes(archive)
+    # the oracles read the generated rows in input order, the library their columns
+    soundings, catalog, observations, samples, cfg = campaign
+    series, archive = series_columns(observations), weather_columns(samples)
+    index = reference_series_index(observations)
+    nodes = reference_weather_nodes(samples)
     stations, weather = [], []
     for s in soundings:
         stations.append(reference_match_sounding(s, catalog, index, cfg))
@@ -435,13 +470,13 @@ def test_batched_join_matches_per_sounding_oracle(campaign, chunk_rows, caplog):
             except EmptyDatasetError:
                 dataset = []
 
-    # stations: the station, the observation object and the distance bits
+    # stations: the station, the input row of the observation and the distance bits
     for i, want in enumerate(stations):
         got = None if station[i] < 0 else (catalog[station[i]].station_id, obs[i],
                                            float(dist[i]))
         assert (got is None) == (want is None)
         if want is not None:
-            assert got[0] == want[0] and got[1] is want[1] and got[2] == want[2]
+            assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
 
     # weather: the sample chosen (its u10), or the outcome stale / no data
     assert list(usable) == [not isinstance(w, type) for w in weather]
@@ -453,11 +488,12 @@ def test_batched_join_matches_per_sounding_oracle(campaign, chunk_rows, caplog):
             with pytest.raises(want):
                 nearest_weather(s, archive)
         else:
-            assert nearest_weather(s, archive) is want
+            assert nearest_weather(s, archive).tolist() == list(want[2])
 
     # build_dataset: the samples in order and the match funnel
     want_samples = sorted(
-        [((s.time, hit[0]), _reference_features(s, w).tobytes(), hit[1].co2, hit[2])
+        [((s.time, hit[0]), _reference_features(s, w).tobytes(), observations[hit[1]][2],
+          hit[2])
          for s, hit, w in zip(soundings, stations, weather)
          if hit is not None and not isinstance(w, type)],
         key=lambda x: x[0],

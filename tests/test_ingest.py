@@ -1,5 +1,7 @@
+import sys
 from datetime import datetime, time, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -146,7 +148,7 @@ def test_weather_window_filtering(tmp_path):
         + weather_row(t="2020-06-01T15:00:00Z")
     )
     archive = ingest.read_weather(write(tmp_path, "w.csv", text))
-    hours = sorted(s.time.hour for s in archive.samples)
+    hours = sorted(archive.times // 3_600_000_000 % 24)
     assert hours == [9, 12, 15]
 
 
@@ -175,14 +177,14 @@ def test_round_trip_all_record_types(tmp_path):
         ingest.Station("HTM", GeoPoint(56.0976, 13.4189), 115.0),
         ingest.Station("X2", GeoPoint(45.0, 7.0), None),
     ]
-    series = [
-        ingest.StationObservation("HTM", t, 415.123456789012),
-        ingest.StationObservation("X2", t, 408.0),
-    ]
-    weather = [
-        ingest.WeatherSample(t, GeoPoint(55.0, 13.0), 1.5, -2.25, 101234.5,
-                             287.65, 289.01, 6.5e6, 21.5, 1250.0, 0.375),
-    ]
+    series = ingest.StationSeries(
+        np.array(["HTM", "X2"], dtype=object), ingest.to_micros([t, t]),
+        np.array([415.123456789012, 408.0]),
+    )
+    weather = ingest.WeatherArchive(
+        ingest.to_micros([t]), [55.0], [13.0],
+        [[1.5, -2.25, 101234.5, 287.65, 289.01, 6.5e6, 21.5, 1250.0, 0.375]],
+    )
     ingest.write_soundings(soundings, tmp_path / "s.csv")
     ingest.write_station_catalog(stations, tmp_path / "st.csv")
     ingest.write_station_series(series, tmp_path / "se.csv")
@@ -191,8 +193,85 @@ def test_round_trip_all_record_types(tmp_path):
         soundings, key=lambda r: r.time
     )
     assert ingest.read_station_catalog(tmp_path / "st.csv") == stations
-    assert ingest.read_station_series(tmp_path / "se.csv") == series
-    assert ingest.read_weather(tmp_path / "w.csv").samples == weather
+    back = ingest.read_station_series(tmp_path / "se.csv")
+    for name in ("station_id", "time", "co2"):
+        assert np.array_equal(getattr(back, name), getattr(series, name))
+    archive = ingest.read_weather(tmp_path / "w.csv")
+    for name in ("times", "latitudes", "longitudes", "values"):
+        assert np.array_equal(getattr(archive, name), getattr(weather, name))
+
+
+def test_series_sorted_by_station_then_time(tmp_path):
+    text = (
+        "station_id,time_utc,co2_ppm\n"
+        "B,2020-01-01T00:00:00Z,401.0\n"
+        "A,2020-01-02T00:00:00Z,402.0\n"
+        "AB,2020-01-01T00:00:00Z,403.0\n"
+        "A,2020-01-01T00:00:00Z,404.0\n"
+    )
+    series = ingest.read_station_series(write(tmp_path, "se.csv", text))
+    assert series.station_id.tolist() == ["A", "A", "AB", "B"]
+    assert series.time.tolist() == [t * 3_600_000_000 for t in (438288, 438312, 438288, 438288)]
+    assert series.co2.tolist() == [404.0, 402.0, 403.0, 401.0]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from Python 3.11")
+def test_series_ids_differing_by_trailing_nul_stay_apart(tmp_path):
+    text = (
+        "station_id,time_utc,co2_ppm\n"
+        "A\x00,2020-01-01T00:00:00Z,401.0\n"
+        "A,2020-01-01T01:00:00Z,402.0\n"
+        "A,2020-01-01T00:00:00Z,403.0\n"
+    )
+    series = ingest.read_station_series(write(tmp_path, "se.csv", text))
+    assert series.station_id.tolist() == ["A", "A", "A\x00"]
+    assert series.co2.tolist() == [403.0, 402.0, 401.0]
+
+
+def test_series_duplicate_names_first_repeat(tmp_path):
+    text = (
+        "station_id,time_utc,co2_ppm\n"
+        "B,2020-01-01T00:00:00Z,401.0\n"
+        "A,2020-01-01T00:00:00Z,402.0\n"
+        "A,2020-01-01T00:00:00+00:00,403.0\n"
+        "B,2020-01-01T00:00:00Z,404.0\n"
+    )
+    with pytest.raises(DuplicateKeyError, match="'A' @ 2020-01-01T00:00:00Z"):
+        ingest.read_station_series(write(tmp_path, "se.csv", text))
+
+
+# local times that fall outside datetime's years 1-9999 once moved to UTC
+OUT_OF_RANGE_TIMES = ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
+
+
+@pytest.mark.parametrize("t", OUT_OF_RANGE_TIMES)
+def test_out_of_range_timestamp_is_value_error(t):
+    with pytest.raises(ValueError, match="outside the years 1-9999"):
+        ingest.parse_timestamp(t)
+
+
+@pytest.mark.parametrize("t", OUT_OF_RANGE_TIMES)
+def test_out_of_range_sounding_time_is_malformed(tmp_path, t):
+    path = write(tmp_path, "s.csv",
+                 SOUNDING_HEADER + sounding_row() + sounding_row(t=t) + sounding_row())
+    assert len(ingest.read_soundings(path)) == 2
+
+
+@pytest.mark.parametrize("t", OUT_OF_RANGE_TIMES)
+def test_out_of_range_series_time_is_malformed(tmp_path, t):
+    text = (
+        "station_id,time_utc,co2_ppm\n"
+        "A,2020-01-01T00:00:00Z,412.0\n"
+        f"A,{t},413.0\n"
+        "A,2020-01-01T01:00:00Z,414.0\n"
+    )
+    assert len(ingest.read_station_series(write(tmp_path, "se.csv", text))) == 2
+
+
+@pytest.mark.parametrize("t", OUT_OF_RANGE_TIMES)
+def test_out_of_range_weather_time_is_malformed(tmp_path, t):
+    text = WEATHER_HEADER + weather_row() + weather_row(t=t) + weather_row()
+    assert len(ingest.read_weather(write(tmp_path, "w.csv", text))) == 2
 
 
 def test_quality_flags_all_zero_after_filter(tmp_path):
@@ -218,7 +297,7 @@ def test_readers_never_crash_on_fuzz(tmp_path, content):
             result = reader(path)
         except (Co2FuseError, FileNotFoundError):
             continue
-        assert isinstance(result, (list, ingest.WeatherArchive))
+        assert isinstance(result, (list, ingest.StationSeries, ingest.WeatherArchive))
 
 
 def test_epoch_years_midyear():

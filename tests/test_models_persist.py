@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from co2fuse.errors import FeatureOrderError, ModelFormatError
-from co2fuse.fusion import fit_norm_stats, standardize
+from co2fuse.fusion import NormStats, fit_norm_stats, standardize
 from co2fuse.models import (
     CatBoostConfig,
     GbtConfig,
@@ -221,3 +221,30 @@ def test_non_finite_model_float_rejected(tmp_path, target, bad):
     assert edited != text
     with pytest.raises(ModelFormatError, match="non-finite"):
         _load_text(tmp_path, edited)
+
+
+def _widened_mlp(part):
+    """A trained MLP with 13 inputs, 2 outputs or 13-wide normstats, each
+    file otherwise consistent."""
+    stats = fit_norm_stats(X_TRAIN)
+    model = train_mlp(standardize(X_TRAIN, stats), Y_TRAIN, MlpConfig(epochs=1), norm=stats)
+    if part == "inputs":
+        model.weights[0] = model.weights[0][:13]
+    elif part == "outputs":
+        model.weights[-1] = np.hstack([model.weights[-1], model.weights[-1]])
+        model.biases[-1] = np.concatenate([model.biases[-1], model.biases[-1]])
+    else:
+        model.norm = NormStats(stats.mean[:13], stats.std[:13])
+    return TrainedModel("mlp", model)
+
+
+@pytest.mark.parametrize("part, message", [
+    ("inputs", r"mlp layers \[13, .*\] must run from 14 inputs to 1 output"),
+    ("outputs", r"mlp layers \[14, .*, 2\] must run from 14 inputs to 1 output"),
+    ("normstats", "normstats hold 13 features, expected 14"),
+], ids=["inputs", "outputs", "normstats"])
+def test_model_of_wrong_width_rejected(tmp_path, part, message):
+    path = tmp_path / "m.model"
+    save(_widened_mlp(part), path)
+    with pytest.raises(ModelFormatError, match=message):
+        load(path)

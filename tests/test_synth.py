@@ -1,11 +1,12 @@
 import filecmp
+import hashlib
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from co2fuse import ingest
-from co2fuse.geo import GeoPoint
+from co2fuse.geo import BoundingBox, GeoPoint
 from co2fuse.synth import SynthConfig, generate_campaign, true_field, write_campaign
 
 UTC = timezone.utc
@@ -67,6 +68,33 @@ def test_campaign_round_trips_with_zero_malformed(small_campaign, small_campaign
     assert len(archive) == len(small_campaign.archive)
 
 
+# the small campaign moved against the antimeridian: the generator evaluates
+# the weather law at node longitude 180 but stores the node as -180.0
+ANTIMERIDIAN_SHA256 = {
+    "station_series.csv": "c870b6efc64bcb6905889d9a4ebf1b4999e8b592c70a342846146363ac53b049",
+    "weather.csv": "a2a12b611a4c543d7130e63173e77dfade3d4cd0a3c8a3c1f977aff8c25b1377",
+}
+
+
+def test_antimeridian_campaign_digests(tmp_path):
+    cfg = SynthConfig(seed=5, n_stations=6, n_transects=12, soundings_per_transect=80,
+                      days=120, bbox=BoundingBox(52.0, 170.0, 58.0, 180.0))
+    paths = write_campaign(generate_campaign(cfg), tmp_path)
+    archive = ingest.read_weather(paths["weather"])
+    assert -180.0 in archive.longitudes and 180.0 not in archive.longitudes
+    for name, digest in ANTIMERIDIAN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_campaign_csvs_survive_read_then_write(small_campaign_dir, tmp_path):
+    series = ingest.read_station_series(small_campaign_dir / "station_series.csv")
+    ingest.write_station_series(series, tmp_path / "station_series.csv")
+    ingest.write_weather(ingest.read_weather(small_campaign_dir / "weather.csv"),
+                         tmp_path / "weather.csv")
+    for name in ("station_series.csv", "weather.csv"):
+        assert (tmp_path / name).read_bytes() == (small_campaign_dir / name).read_bytes()
+
+
 def test_soundings_inside_bbox(small_campaign):
     bbox = SynthConfig(seed=5).bbox
     for s in small_campaign.soundings:
@@ -74,11 +102,11 @@ def test_soundings_inside_bbox(small_campaign):
 
 
 def test_weather_fields_plausible(small_campaign):
-    for s in small_campaign.archive.samples[::37]:
-        assert 0.0 <= s.total_cloud_cover <= 1.0
-        assert s.tcwv > 0
-        assert s.cloud_base_height > 0
-        assert 250 < s.t2m < 320
+    column = dict(zip(ingest.WEATHER_COLUMNS[3:], small_campaign.archive.values.T))
+    assert np.all((0.0 <= column["total_cloud_cover"]) & (column["total_cloud_cover"] <= 1.0))
+    assert np.all(column["tcwv_kgm2"] > 0)
+    assert np.all(column["cloud_base_height_m"] > 0)
+    assert np.all((250 < column["t2m_k"]) & (column["t2m_k"] < 320))
 
 
 def test_station_year_mean_matches_base_plus_trend():
@@ -89,7 +117,7 @@ def test_station_year_mean_matches_base_plus_trend():
         coupling_t2m=0.0, coupling_u10=0.0,
     )
     campaign = generate_campaign(cfg)
-    co2 = np.array([o.co2 for o in campaign.series])
+    co2 = campaign.series.co2
     n = len(co2)
     assert n == 365 * 24
     # over one full year the seasonal cycle integrates out; the trend leaves
