@@ -6,7 +6,8 @@ flag, cast, default and any argparse extras. Every flag is also a key of a
 line-oriented config file (`key = value`, `#` comments, keys spelled like
 the long flags, with `-` or `_`); explicit flags win over config values,
 config values over the defaults, and unknown config keys are errors. A bad
-flag value is a usage error (64), a bad config value a bad input (2).
+flag value is a usage error (64), a bad config value a bad input (2). train
+refuses, in the same way, an option that its --model kind does not read.
 
 Only train, synth and importance draw random numbers. Their --seed plus a
 fixed per-command offset (train +1, synth +2, importance +3) seeds them.
@@ -118,7 +119,9 @@ def _resolve(args) -> SimpleNamespace:
     """Merge flag values, config-file values and defaults, in that priority.
 
     Flags are parsed with argparse.SUPPRESS, so a flag not given leaves no
-    attribute on `args`, whatever value the option may legitimately take."""
+    attribute on `args`, whatever value the option may legitimately take.
+    An option whose `kinds` leave out the resolved --model is refused: as a
+    flag it is a usage error, as a config key a ValueError."""
     config = _read_config(args.config) if args.config else {}
     unknown = set(config) - {dest for dest, *_ in args.options}
     if unknown:
@@ -129,6 +132,14 @@ def _resolve(args) -> SimpleNamespace:
             resolved[dest] = getattr(args, dest)
         else:
             resolved[dest] = cast(config[dest]) if dest in config else default
+    model = resolved.get("model")
+    for dest, flag, _, _, extras in args.options:
+        if model is None or model in extras.get("kinds", (model,)):
+            continue
+        if hasattr(args, dest):
+            args.parser.error(f"{flag} is not read by --model {model}")
+        if dest in config:
+            raise ValueError(f"config key {dest!r} is not read by --model {model}")
     return SimpleNamespace(**resolved)
 
 
@@ -154,11 +165,11 @@ def cmd_build_dataset(args) -> int:
     series = ingest.read_station_series(ns.series)
     archive = ingest.read_weather(ns.weather, window=ns.weather_window)
     cfg = fusion.MatchConfig(max_distance_km=ns.radius_km, max_time_minutes=ns.time_window_min)
-    samples = fusion.build_dataset(soundings, catalog, series, archive, cfg)
-    fusion.write_dataset(samples, ns.out)
-    rate = len(samples) / len(soundings) if soundings else 0.0
+    dataset = fusion.build_dataset(soundings, catalog, series, archive, cfg)
+    fusion.write_dataset(dataset, ns.out)
+    rate = len(dataset) / len(soundings) if soundings else 0.0
     print(
-        f"matched {len(samples)} of {len(soundings)} soundings "
+        f"matched {len(dataset)} of {len(soundings)} soundings "
         f"(match rate {100.0 * rate:.1f}%) -> {ns.out}"
     )
     return 0
@@ -199,8 +210,7 @@ def cmd_train(args) -> int:
     train, _ = fusion.split_by_station(dataset, set(ns.holdout_stations))
     if not train:
         raise EmptyDatasetError("no training samples left after the station holdout")
-    X, y = fusion.design_matrix(train)
-    tm = _train_model(ns.model, X, y, ns, seed=ns.seed + SEED_OFFSETS["train"])
+    tm = _train_model(ns.model, train.X, train.y, ns, seed=ns.seed + SEED_OFFSETS["train"])
     save(tm, ns.out)
     print(f"trained {ns.model} on {len(train)} samples -> {ns.out}")
     return 0
@@ -213,16 +223,15 @@ def cmd_evaluate(args) -> int:
     _, test = fusion.split_by_station(dataset, set(ns.holdout_stations))
     if not test:
         raise EmptyDatasetError("holdout stations have no samples to evaluate on")
-    X, y = fusion.design_matrix(test)
     with _output(ns.out) as stream:
         print(metrics.EVAL_CSV_HEADER, file=stream)
         for path in ns.model_file:
             tm = load(path)
-            yhat = predict_batch(tm, X)
+            yhat = predict_batch(tm, test.X)
             p = ns.p_features
             if p is None:
                 p = 1 if tm.kind == "baseline" else fusion.N_FEATURES
-            report = metrics.evaluate(y, yhat, p_features=p)
+            report = metrics.evaluate(test.y, yhat, p_features=p)
             print(report.csv_row(tm.kind), file=stream)
     return 0
 
@@ -301,12 +310,11 @@ def cmd_importance(args) -> int:
         raise ValueError(f"unknown attribution method {ns.method!r}")
     tm = load(ns.model_file)
     dataset = fusion.read_dataset(ns.dataset)
-    X, y = fusion.design_matrix(dataset)
     seed = ns.seed + SEED_OFFSETS["importance"]
     if ns.method == "shapley":
-        report = shapley_attribution(tm, X, X, seed=seed, max_rows=ns.rows)
+        report = shapley_attribution(tm, dataset.X, dataset.X, seed=seed, max_rows=ns.rows)
     else:
-        report = permutation_importance(tm, (X, y), repeats=ns.repeats, seed=seed)
+        report = permutation_importance(tm, (dataset.X, dataset.y), repeats=ns.repeats, seed=seed)
     if ns.out:
         write_report_csv(report, ns.out)
     else:
@@ -345,8 +353,9 @@ def cmd_synth(args) -> int:
 
 
 def _opt(flag, cast=str, default=None, **extras):
-    """One option: (dest, flag, cast, default, argparse extras). The cast
-    reads both the flag's text and the config value."""
+    """One option: (dest, flag, cast, default, extras). The cast reads both
+    the flag's text and the config value. The extras go to argparse, except
+    `kinds`: the train --model kinds that read the option, where not all."""
     return flag[2:].replace("-", "_"), flag, cast, default, extras
 
 
@@ -381,17 +390,18 @@ COMMANDS = {
         _opt("--holdout-stations", _parse_ids, ()),
         _SEED,
         _out("model.txt"),
-        _opt("--epochs", int, MlpConfig.epochs),
-        _opt("--batch-size", int, MlpConfig.batch_size),
-        _opt("--learning-rate", float, help="default: the model kind's own"),
-        _opt("--l2-lambda", float, MlpConfig.l2_lambda),
-        _opt("--n-estimators", int, GbtConfig.n_estimators),
+        _opt("--epochs", int, MlpConfig.epochs, kinds=("mlp",)),
+        _opt("--batch-size", int, MlpConfig.batch_size, kinds=("mlp",)),
+        _opt("--learning-rate", float, help="default: the model kind's own",
+             kinds=("gbt", "catboost", "mlp")),
+        _opt("--l2-lambda", float, MlpConfig.l2_lambda, kinds=("mlp",)),
+        _opt("--n-estimators", int, GbtConfig.n_estimators, kinds=("gbt",)),
         # gbt and catboost share this flag and its default depth
-        _opt("--max-depth", int, GbtConfig.max_depth),
-        _opt("--iterations", int, CatBoostConfig.iterations),
-        _opt("--classes", int, CatBoostConfig.nbr_classes),
-        _opt("--l2-leaf-reg", float, CatBoostConfig.l2_leaf_reg),
-        _opt("--decode", str, CatBoostConfig.decode, choices=DECODE_MODES),
+        _opt("--max-depth", int, GbtConfig.max_depth, kinds=("gbt", "catboost")),
+        _opt("--iterations", int, CatBoostConfig.iterations, kinds=("catboost",)),
+        _opt("--classes", int, CatBoostConfig.nbr_classes, kinds=("catboost",)),
+        _opt("--l2-leaf-reg", float, CatBoostConfig.l2_leaf_reg, kinds=("catboost",)),
+        _opt("--decode", str, CatBoostConfig.decode, choices=DECODE_MODES, kinds=("catboost",)),
     )),
     "evaluate": (cmd_evaluate, "score model files on the holdout stations", (
         _opt("--dataset"),
@@ -446,9 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="key = value config file; flags override it")
         for dest, flag, cast, _, extras in options:
+            extras = {k: v for k, v in extras.items() if k != "kinds"}
             typed = extras if "action" in extras else {"type": cast, **extras}
             p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **typed)
-        p.set_defaults(func=handler, options=options)
+        p.set_defaults(func=handler, options=options, parser=p)
     return parser
 
 

@@ -2,8 +2,9 @@
 
 Each satellite sounding is matched to the spatially nearest station that has
 at least one observation within the time window; the matched pair plus the
-nearest weather sample becomes one 14-feature labeled sample. Train/test
-splits are by whole stations to prevent spatial leakage.
+nearest weather sample becomes one row of the dataset, a column table
+(`Dataset`) of 14 features and the station CO2 label. Train/test splits are
+by whole stations, through one boolean mask, to prevent spatial leakage.
 
 Both joins are batched over all soundings. Haversine distances from the
 soundings to the weather nodes (or the stations) are computed in blocks of
@@ -23,8 +24,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -41,9 +42,9 @@ from .ingest import (
     Station,
     StationSeries,
     WeatherArchive,
+    _MicrosByText,
+    _timestamp_texts,
     epoch_years,
-    format_timestamp,
-    parse_timestamp,
     to_micros,
     write_csv,
 )
@@ -84,21 +85,26 @@ class MatchConfig:
             raise ValueError("match thresholds must be positive")
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One matched sounding: 14 features, station CO2 label, provenance."""
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class Dataset:
+    """The fused table as columns, one row per matched sounding: the (n, 14)
+    float64 features `X` in FEATURE_NAMES order, the station CO2 label `y`
+    (ppm), `station_id` (an object array of str), the sounding `time` (int64
+    UTC microseconds) and the station `distance_km`."""
 
-    features: np.ndarray
-    label: float
-    station_id: str
-    sounding_time: datetime
-    station_distance_km: float
+    X: np.ndarray
+    y: np.ndarray
+    station_id: np.ndarray
+    time: np.ndarray
+    distance_km: np.ndarray
 
-    def __post_init__(self):
-        if self.features.shape != (N_FEATURES,):
-            raise ValueError(f"feature vector must have exactly {N_FEATURES} entries")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("feature vector must be finite")
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def rows(self, index) -> Dataset:
+        """The rows a boolean mask selects, or an index array orders."""
+        return Dataset(self.X[index], self.y[index], self.station_id[index],
+                       self.time[index], self.distance_km[index])
 
 
 @dataclass(frozen=True)
@@ -298,74 +304,60 @@ def build_dataset(
     series: StationSeries,
     archive: WeatherArchive,
     cfg: MatchConfig = MatchConfig(),
-) -> list[LabeledSample]:
-    """One labeled sample per successfully matched sounding.
+) -> Dataset:
+    """One labeled row per successfully matched sounding.
 
     Soundings without a qualifying station, or whose nearest weather is stale,
-    are skipped and counted. Output is deterministically ordered by
-    (sounding time, station_id). Raises EmptyDatasetError on zero matches.
+    are skipped and counted. Rows are ordered by (sounding time, station_id),
+    equal keys in sounding order. Raises EmptyDatasetError on zero matches.
     """
     station, obs, dist = match_stations(soundings, catalog, series, cfg)
     matched = np.flatnonzero(station >= 0)
     X, usable = weather_features([soundings[i] for i in matched], archive)
     kept = matched[usable]
-    samples = [
-        LabeledSample(
-            features=x,
-            label=label,
-            station_id=catalog[station[i]].station_id,
-            sounding_time=soundings[i].time,
-            station_distance_km=float(dist[i]),
-        )
-        for i, x, label in zip(kept, X, series.co2[obs[kept]].tolist())
-    ]
     total = len(soundings)
     unmatched = total - len(matched)
-    stale = len(matched) - len(samples)
-    rate = len(samples) / total if total else 0.0
+    stale = len(matched) - len(kept)
+    rate = len(kept) / total if total else 0.0
     log.info(
         "matched %d of %d soundings (%.1f%%); %d unmatched, %d with stale weather",
-        len(samples), total, 100.0 * rate, unmatched, stale,
+        len(kept), total, 100.0 * rate, unmatched, stale,
     )
-    if not samples:
+    if not len(kept):
         raise EmptyDatasetError(
             f"no sounding matched within {cfg.max_distance_km} km and "
             f"{cfg.max_time_minutes} min ({total} soundings, {unmatched} unmatched, "
             f"{stale} stale-weather)"
         )
-    samples.sort(key=lambda x: (x.sounding_time, x.station_id))
-    return samples
+    ids = np.array([catalog[k].station_id for k in station[kept]], dtype=object)
+    # rank the ids in Python's string order: numpy's <U strings drop trailing NULs
+    rank = {sid: r for r, sid in enumerate(sorted(set(ids)))}
+    time = to_micros([soundings[i].time for i in kept])
+    order = np.lexsort((np.array([rank[sid] for sid in ids], dtype=np.int64), time))
+    return Dataset(X, series.co2[obs[kept]], ids, time, dist[kept]).rows(order)
 
 
-def split_by_station(
-    dataset: list[LabeledSample], holdout_ids: set[str]
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
-    """Station-holdout split: test gets every sample of the holdout stations."""
-    present = {s.station_id for s in dataset}
-    unknown = set(holdout_ids) - present
+def split_by_station(dataset: Dataset, holdout_ids: set[str]) -> tuple[Dataset, Dataset]:
+    """Station-holdout split: test gets every row of the holdout stations."""
+    station_ids = dataset.station_id.tolist()
+    unknown = set(holdout_ids) - set(station_ids)
     if unknown:
         raise ValueError(f"holdout station id(s) not present in dataset: {sorted(unknown)}")
-    train = [s for s in dataset if s.station_id not in holdout_ids]
-    test = [s for s in dataset if s.station_id in holdout_ids]
-    return train, test
+    test = np.array([sid in holdout_ids for sid in station_ids], dtype=bool)
+    return dataset.rows(~test), dataset.rows(test)
 
 
-def design_matrix(dataset: list[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a dataset into (X, y) arrays for the model layer."""
-    if not dataset:
-        return np.empty((0, N_FEATURES)), np.empty((0,))
-    X = np.stack([s.features for s in dataset])
-    y = np.array([s.label for s in dataset], dtype=np.float64)
-    return X, y
+def design_matrix(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, y) arrays of a dataset for the model layer."""
+    return dataset.X, dataset.y
 
 
-def fit_norm_stats(train: np.ndarray | list[LabeledSample]) -> NormStats:
+def fit_norm_stats(X: np.ndarray) -> NormStats:
     """Per-feature mean and population (1/n) standard deviation.
 
     A constant feature cannot be standardized; that raises
     DegenerateFeatureError naming the feature.
     """
-    X = train if isinstance(train, np.ndarray) else design_matrix(train)[0]
     if X.ndim != 2 or X.shape[0] == 0:
         raise NoDataError("cannot fit normalization statistics on an empty set")
     mean = X.mean(axis=0)
@@ -385,35 +377,51 @@ def standardize(v: np.ndarray, stats: NormStats) -> np.ndarray:
 DATASET_EXTRA_COLUMNS = ("label_ppm", "station_id", "time_utc", "distance_km")
 
 
-def write_dataset(dataset: list[LabeledSample], path) -> None:
+def write_dataset(dataset: Dataset, path) -> None:
     """Cache a dataset as CSV: the 14 canonical features plus label columns."""
-    write_csv(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, (
-        [repr(float(x)) for x in s.features]
-        + [repr(float(s.label)), s.station_id, format_timestamp(s.sounding_time),
-           repr(float(s.station_distance_km))]
-        for s in dataset
+    numbers = (map(repr, c.tolist()) for c in (*dataset.X.T, dataset.y))
+    write_csv(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, zip(
+        *numbers, dataset.station_id.tolist(), _timestamp_texts(dataset.time),
+        map(repr, dataset.distance_km.tolist()),
     ))
 
 
-def read_dataset(path) -> list[LabeledSample]:
-    """Read a dataset.csv written by write_dataset."""
+def _finite_rows(path, numbers: array, n: int) -> np.ndarray:
+    """The first n dataset.csv rows of the flat numbers (the features, the
+    label and the distance) as an (n, 16) table; a row holding a non-finite
+    number is a SchemaError naming its line."""
+    table = np.frombuffer(numbers, count=n * (N_FEATURES + 2)).reshape(n, N_FEATURES + 2)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise SchemaError(f"{path}:{bad[0] + 2}: non-finite value")
+    return table
+
+
+def read_dataset(path) -> Dataset:
+    """Read a dataset.csv written by write_dataset. A wrong header or column
+    count, a value that does not parse and a non-finite number are each a
+    SchemaError naming the first bad line."""
     expected = FEATURE_NAMES + DATASET_EXTRA_COLUMNS
-    dataset = []
+    numbers = array("d")
+    station_ids, times = [], array("q")
+    micros = _MicrosByText()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != expected:
             raise SchemaError(f"{path}: expected dataset header {expected}")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise SchemaError(f"{path}:{lineno}: wrong column count")
             try:
-                features = np.array([float(x) for x in row[:N_FEATURES]])
-                label = float(row[N_FEATURES])
-                station_id = row[N_FEATURES + 1]
-                when = parse_timestamp(row[N_FEATURES + 2])
-                dist = float(row[N_FEATURES + 3])
+                if len(row) != len(expected):
+                    raise ValueError("wrong column count")
+                numbers.extend(map(float, row[:N_FEATURES + 1]))
+                times.append(micros[row[N_FEATURES + 2]])
+                numbers.append(float(row[N_FEATURES + 3]))
             except ValueError as exc:
+                _finite_rows(path, numbers, lineno - 2)  # an earlier bad line goes first
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            dataset.append(LabeledSample(features, label, station_id, when, dist))
-    return dataset
+            station_ids.append(row[N_FEATURES + 1])
+    table = _finite_rows(path, numbers, len(station_ids))
+    X = np.ascontiguousarray(table[:, :N_FEATURES])
+    return Dataset(X, table[:, N_FEATURES].copy(), np.array(station_ids, dtype=object),
+                   np.array(times, dtype=np.int64), table[:, N_FEATURES + 1].copy())

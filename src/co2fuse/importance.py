@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .fusion import FEATURE_NAMES, LabeledSample, design_matrix
+from .fusion import FEATURE_NAMES
 from .models.trees import leaf_boxes
 
 DEFAULT_SHAPLEY_ROWS = 256
@@ -144,22 +144,21 @@ def _leaf_path_shapley(gbt, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def shapley_attribution(
     model,
-    rows: np.ndarray | Sequence[LabeledSample],
-    background: np.ndarray | Sequence[LabeledSample],
+    X_rows: np.ndarray,
+    X_bg: np.ndarray,
     seed: int = 0,
     max_rows: int = DEFAULT_SHAPLEY_ROWS,
 ) -> AttributionReport:
     """Mean absolute exact Shapley value per feature over the explained rows.
 
-    `model` is a TrainedModel; rows beyond max_rows are subsampled with the
-    given seed. The background supplies the imputation means.
+    `model` is a TrainedModel and `X_rows` the (n, d) feature rows to
+    explain; rows beyond max_rows are subsampled with the given seed. The
+    column means of the background rows `X_bg` are the imputation values.
     """
     from .models import predict_batch
 
     if max_rows < 1:
         raise ValueError("max_rows must be >= 1")
-    X_rows = rows if isinstance(rows, np.ndarray) else design_matrix(list(rows))[0]
-    X_bg = background if isinstance(background, np.ndarray) else design_matrix(list(background))[0]
     if X_bg.shape[0] == 0:
         raise ValueError("background must be non-empty")
     if X_rows.shape[0] == 0:
@@ -189,19 +188,17 @@ def shapley_attribution(
 
 def permutation_importance(
     model,
-    dataset: Sequence[LabeledSample] | tuple[np.ndarray, np.ndarray],
+    dataset: tuple[np.ndarray, np.ndarray],
     repeats: int = DEFAULT_REPEATS,
     seed: int = 0,
 ) -> AttributionReport:
-    """Mean RMSE increase per feature over `repeats` column shuffles."""
+    """Mean RMSE increase per feature over `repeats` column shuffles of the
+    feature matrix X of `dataset` = (X, y)."""
     from .models import predict_batch
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if isinstance(dataset, tuple):
-        X, y = dataset
-    else:
-        X, y = design_matrix(list(dataset))
+    X, y = dataset
     if X.shape[0] == 0:
         raise ValueError("dataset must be non-empty")
     rng = np.random.default_rng(seed)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 from typing import Iterable, Optional
@@ -166,6 +167,15 @@ def _timestamp_texts(micros: np.ndarray) -> list[str]:
     return [texts[m] for m in micros]
 
 
+class _MicrosByText(dict):
+    """Timestamp text -> int UTC microseconds since 1970, each distinct text
+    parsed once; a text that does not parse raises ValueError each time."""
+
+    def __missing__(self, text: str) -> int:
+        micros = self[text] = (parse_timestamp(text) - _EPOCH) // _MICROSECOND
+        return micros
+
+
 def epoch_years(micros: np.ndarray) -> np.ndarray:
     """Continuous calendar time of UTC microseconds, e.g. 2015.37 for mid-May 2015.
 
@@ -192,7 +202,8 @@ def _rows(path, columns: tuple[str, ...]):
     """Yield raw csv rows as dicts; header problems raise SchemaError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
+            # a short row's missing fields read as "", which no field accepts
+            reader = csv.DictReader(fh, restval="")
             if reader.fieldnames is None:
                 raise SchemaError(f"{path}: empty file, header row required")
             missing = [c for c in columns if c not in reader.fieldnames]
@@ -270,8 +281,9 @@ def read_station_catalog(path) -> list[Station]:
 def read_station_series(path) -> StationSeries:
     """Read hourly station CO2 series, sorted by (station_id, time); gaps are
     fine, duplicates are not."""
-    sids, times, co2s = [], [], []
-    seen: set[tuple[str, datetime]] = set()
+    sids, times, co2s = [], array("q"), array("d")
+    distinct: dict[str, str] = {}  # one str object per station id
+    micros = _MicrosByText()
     total = malformed = 0
     for row in _rows(path, SERIES_COLUMNS):
         total += 1
@@ -279,28 +291,32 @@ def read_station_series(path) -> StationSeries:
             sid = row["station_id"].strip()
             if not sid:
                 raise ValueError("empty station_id")
-            t = parse_timestamp(row["time_utc"])
+            t = micros[row["time_utc"]]
             co2 = _finite(float(row["co2_ppm"]))
             if co2 <= 0.0:
                 raise ValueError("co2 must be positive")
         except (ValueError, TypeError, KeyError):
             malformed += 1
             continue
-        key = (sid, t)
-        if key in seen:
-            raise DuplicateKeyError(f"{path}: duplicate observation {sid!r} @ {format_timestamp(t)}")
-        seen.add(key)
-        sids.append(sid)
+        sids.append(distinct.setdefault(sid, sid))
         times.append(t)
         co2s.append(co2)
-    _corrupt_gate(path, total, malformed, "series")
     # rank the ids with Python's string order: numpy's <U strings drop
     # trailing NULs
-    rank = {sid: r for r, sid in enumerate(sorted(set(sids)))}
-    micros = to_micros(times)
-    order = np.lexsort((micros, np.array([rank[sid] for sid in sids], dtype=np.int64)))
+    rank = {sid: r for r, sid in enumerate(sorted(distinct))}
+    station = np.array([rank[sid] for sid in sids], dtype=np.int64)
+    t = np.array(times, dtype=np.int64)
+    order = np.lexsort((t, station))
+    station, t = station[order], t[order]
+    # equal keys keep file order, so each run's later rows are repeats
+    repeats = np.flatnonzero((station[1:] == station[:-1]) & (t[1:] == t[:-1])) + 1
+    if len(repeats):
+        first = order[repeats].min()
+        raise DuplicateKeyError(f"{path}: duplicate observation {sids[first]!r} @ "
+                                f"{_timestamp_texts(times[first:first + 1])[0]}")
+    _corrupt_gate(path, total, malformed, "series")
     return StationSeries(
-        np.array(sids, dtype=object)[order], micros[order], np.array(co2s, dtype=np.float64)[order]
+        np.array(sids, dtype=object)[order], t, np.array(co2s, dtype=np.float64)[order]
     )
 
 

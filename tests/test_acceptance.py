@@ -218,8 +218,8 @@ def test_06_boosting_properties():
 
 def test_07_station_holdout_hygiene(bundle):
     with criterion(7, "train and test station sets are disjoint"):
-        train_ids = {s.station_id for s in bundle["train"]}
-        test_ids = {s.station_id for s in bundle["test"]}
+        train_ids = set(bundle["train"].station_id)
+        test_ids = set(bundle["test"].station_id)
         assert test_ids == HOLDOUT
         assert not (train_ids & test_ids)
         assert len(bundle["train"]) + len(bundle["test"]) == len(bundle["dataset"])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import os
 import subprocess
@@ -121,6 +122,81 @@ def test_unknown_holdout_station_exit_2(workdir, tmp_path):
     assert code == 2
 
 
+def test_train_on_non_finite_label_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[len(fusion.FEATURE_NAMES)] = "nan"
+    lines[5] = ",".join(fields)
+    (tmp_path / "d.csv").write_text("".join(lines), encoding="utf-8")
+    code = run("train", "--dataset", str(tmp_path / "d.csv"), "--model", "gbt",
+               "--n-estimators", "2", "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert "d.csv:6: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+# each train option that not every model kind reads, with a non-default value
+KIND_OPTIONS = {
+    "epochs": ("2", ("mlp",)),
+    "batch_size": ("16", ("mlp",)),
+    "learning_rate": ("0.002", ("gbt", "catboost", "mlp")),
+    "l2_lambda": ("0.01", ("mlp",)),
+    "n_estimators": ("2", ("gbt",)),
+    "max_depth": ("3", ("gbt", "catboost")),
+    "iterations": ("2", ("catboost",)),
+    "classes": ("10", ("catboost",)),
+    "l2_leaf_reg": ("1.5", ("catboost",)),
+    "decode": ("expectation", ("catboost",)),
+}
+
+
+def test_train_rejects_flags_of_other_model_kinds(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--dataset", str(workdir / "dataset.csv"), "--model", "gbt",
+            "--n-estimators", "2", "--epochs", "5", "--decode", "expectation",
+            "--iterations", "9", "--out", str(tmp_path / "m"))
+    assert exc.value.code == 64
+    assert "--epochs is not read by --model gbt" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("kind", ["baseline", "gbt", "catboost", "mlp"])
+@pytest.mark.parametrize("dest", sorted(KIND_OPTIONS))
+def test_train_option_of_another_kind_is_refused(monkeypatch, tmp_path, capsys, kind, dest):
+    value, kinds = KIND_OPTIONS[dest]
+    argv = ("train", "--model", kind, *_flag_argv(dest, value))
+    if kind in kinds:
+        assert resolved(monkeypatch, *argv)[dest] != DEFAULTS["train"][dest]
+        return
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 64
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = {kind}\n{dest.replace('_', '-')} = {value}\n")
+    capsys.readouterr()
+    assert run("train", "--config", str(cfg)) == 2
+    assert f"{dest!r} is not read by --model {kind}" in capsys.readouterr().err
+
+
+def test_train_config_key_of_another_kind_exit_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 5\n")
+    code = run("train", "--config", str(cfg), "--dataset", str(workdir / "dataset.csv"),
+               "--model", "baseline", "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert "'epochs' is not read by --model baseline" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("kind", ["gbt", "catboost", "mlp"])
+def test_train_accepts_all_options_of_its_kind(workdir, tmp_path, kind):
+    own = [arg for dest, (value, kinds) in KIND_OPTIONS.items() if kind in kinds
+           for arg in _flag_argv(dest, value)]
+    code = run("train", "--dataset", str(workdir / "dataset.csv"), "--model", kind,
+               "--holdout-stations", "ST01", *own, "--out", str(tmp_path / "m"))
+    assert code == 0
+
+
 def test_train_deterministic_model_files(workdir, tmp_path):
     for name in ("m1", "m2"):
         code = run(
@@ -198,11 +274,7 @@ def test_sweep_default_grid_twelve_rows(small_campaign_dir, tmp_path, capsys):
 def test_importance_ranks_copied_feature_first(workdir, tmp_path, capsys):
     # dataset whose label is exactly the xco2 feature, baseline regresses on it
     dataset = fusion.read_dataset(workdir / "dataset.csv")
-    rigged = [
-        fusion.LabeledSample(s.features, float(s.features[0]), s.station_id,
-                             s.sounding_time, s.station_distance_km)
-        for s in dataset
-    ]
+    rigged = dataclasses.replace(dataset, y=dataset.X[:, 0].copy())
     fusion.write_dataset(rigged, tmp_path / "rigged.csv")
     code = run(
         "train", "--dataset", str(tmp_path / "rigged.csv"), "--model", "baseline",

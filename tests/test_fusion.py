@@ -205,29 +205,30 @@ def _fixture_inputs():
 
 def test_build_dataset_counts_hand_enumerated_matches():
     soundings, catalog, series, archive = _fixture_inputs()
-    samples = build_dataset(soundings, catalog, series, archive)
-    assert len(samples) == 4
-    assert sorted({s.station_id for s in samples}) == ["A", "B"]
+    ds = build_dataset(soundings, catalog, series, archive)
+    assert len(ds) == 4
+    assert sorted(set(ds.station_id)) == ["A", "B"]
     cfg = MatchConfig()
-    for s in samples:
-        assert s.station_distance_km <= cfg.max_distance_km
-        assert np.all(np.isfinite(s.features))
-        assert s.features.shape == (14,)
+    assert np.all(ds.distance_km <= cfg.max_distance_km)
+    assert np.all(np.isfinite(ds.X))
+    assert ds.X.shape == (4, 14)
 
 
 def test_build_dataset_deterministic_and_ordered():
     soundings, catalog, series, archive = _fixture_inputs()
     a = build_dataset(soundings, catalog, series, archive)
     b = build_dataset(list(soundings), catalog, series, archive)
-    for x, y in zip(a, b):  # identical inputs give identical outputs
-        assert x.station_id == y.station_id
-        assert x.sounding_time == y.sounding_time
-        assert np.array_equal(x.features, y.features)
-    keys = [(s.sounding_time, s.station_id) for s in a]
+    # identical inputs give identical outputs
+    assert np.array_equal(a.station_id, b.station_id)
+    assert np.array_equal(a.time, b.time)
+    assert np.array_equal(a.X, b.X)
+    keys = list(zip(a.time.tolist(), a.station_id.tolist()))
     assert keys == sorted(keys)
-    # a permuted input yields the same multiset of samples
+    # a permuted input yields the same multiset of rows
     c = build_dataset(list(reversed(soundings)), catalog, series, archive)
-    as_tuples = lambda ds: sorted(tuple(s.features) + (s.label, s.station_id) for s in ds)
+    as_tuples = lambda ds: sorted(
+        tuple(x) + (y, sid) for x, y, sid in zip(ds.X.tolist(), ds.y.tolist(), ds.station_id)
+    )
     assert as_tuples(a) == as_tuples(c)
 
 
@@ -265,15 +266,15 @@ def _toy_dataset():
 def test_split_by_station():
     ds = _toy_dataset()
     train, test = split_by_station(ds, {"B"})
-    assert {s.station_id for s in test} == {"B"}
-    assert {s.station_id for s in train} == {"A"}
+    assert set(test.station_id) == {"B"}
+    assert set(train.station_id) == {"A"}
     assert len(train) + len(test) == len(ds)
 
 
 def test_split_all_held_out_leaves_empty_train():
     ds = _toy_dataset()
     train, test = split_by_station(ds, {"A", "B"})
-    assert train == [] and len(test) == len(ds)
+    assert len(train) == 0 and len(test) == len(ds)
 
 
 def test_split_unknown_id_rejected():
@@ -318,12 +319,8 @@ def test_dataset_csv_round_trip(tmp_path):
     fusion.write_dataset(ds, path)
     back = fusion.read_dataset(path)
     assert len(back) == len(ds)
-    for a, b in zip(ds, back):
-        assert np.array_equal(a.features, b.features)
-        assert a.label == b.label
-        assert a.station_id == b.station_id
-        assert a.sounding_time == b.sounding_time
-        assert a.station_distance_km == b.station_distance_km
+    for name in ("X", "y", "station_id", "time", "distance_km"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name))
 
 
 @pytest.mark.parametrize("t", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
@@ -336,6 +333,38 @@ def test_dataset_time_out_of_range_in_utc_is_schema_error(tmp_path, t):
     lines[2] = ",".join(fields)
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(SchemaError, match=":3: timestamp"):
+        fusion.read_dataset(path)
+
+
+def _edit_dataset_field(path, lineno, column, text):
+    """Replace one field of a dataset.csv; lineno counts the header as 1."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[lineno - 1].rstrip("\r\n").split(",")
+    fields[(FEATURE_NAMES + fusion.DATASET_EXTRA_COLUMNS).index(column)] = text
+    lines[lineno - 1] = ",".join(fields) + "\r\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["t2m", "label_ppm", "distance_km"])
+def test_dataset_non_finite_number_is_schema_error(tmp_path, column, value):
+    path = tmp_path / "dataset.csv"
+    fusion.write_dataset(_toy_dataset(), path)
+    _edit_dataset_field(path, 4, column, value)
+    with pytest.raises(SchemaError, match=r"dataset\.csv:4: non-finite value"):
+        fusion.read_dataset(path)
+
+
+def test_dataset_error_names_first_bad_line_in_file_order(tmp_path):
+    path = tmp_path / "dataset.csv"
+    fusion.write_dataset(_toy_dataset(), path)
+    _edit_dataset_field(path, 3, "label_ppm", "nan")
+    _edit_dataset_field(path, 4, "xco2", "not-a-number")
+    with pytest.raises(SchemaError, match=":3: non-finite value"):
+        fusion.read_dataset(path)
+    _edit_dataset_field(path, 3, "label_ppm", "412.0")
+    _edit_dataset_field(path, 5, "distance_km", "inf")
+    with pytest.raises(SchemaError, match=":4: could not convert"):
         fusion.read_dataset(path)
 
 
@@ -468,7 +497,7 @@ def test_batched_join_matches_per_sounding_oracle(campaign, chunk_rows, caplog):
             try:
                 dataset = build_dataset(soundings, catalog, series, archive, cfg)
             except EmptyDatasetError:
-                dataset = []
+                dataset = None
 
     # stations: the station, the input row of the observation and the distance bits
     for i, want in enumerate(stations):
@@ -492,14 +521,15 @@ def test_batched_join_matches_per_sounding_oracle(campaign, chunk_rows, caplog):
 
     # build_dataset: the samples in order and the match funnel
     want_samples = sorted(
-        [((s.time, hit[0]), _reference_features(s, w).tobytes(), observations[hit[1]][2],
-          hit[2])
+        [((to_micros([s.time])[0], hit[0]), _reference_features(s, w).tobytes(),
+          observations[hit[1]][2], hit[2])
          for s, hit, w in zip(soundings, stations, weather)
          if hit is not None and not isinstance(w, type)],
         key=lambda x: x[0],
     )
-    got_samples = [((x.sounding_time, x.station_id), x.features.tobytes(), x.label,
-                    x.station_distance_km) for x in dataset]
+    got_samples = [] if dataset is None else [
+        ((dataset.time[i], dataset.station_id[i]), dataset.X[i].tobytes(), dataset.y[i],
+         dataset.distance_km[i]) for i in range(len(dataset))]
     assert got_samples == want_samples
     unmatched = sum(hit is None for hit in stations)
     stale = len(soundings) - unmatched - len(want_samples)

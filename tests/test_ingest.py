@@ -240,6 +240,38 @@ def test_series_duplicate_names_first_repeat(tmp_path):
         ingest.read_station_series(write(tmp_path, "se.csv", text))
 
 
+def test_series_duplicate_spelled_with_another_offset(tmp_path):
+    text = (
+        "station_id,time_utc,co2_ppm\n"
+        "A,2020-01-01T01:00:00Z,401.0\n"
+        "A,2020-01-01T00:00:00Z,402.0\n"
+        "A,2020-01-01T01:00:00+01:00,403.0\n"
+    )
+    with pytest.raises(DuplicateKeyError, match="'A' @ 2020-01-01T00:00:00Z"):
+        ingest.read_station_series(write(tmp_path, "se.csv", text))
+
+
+def test_series_duplicate_raised_before_malformed_majority(tmp_path):
+    text = (
+        "station_id,time_utc,co2_ppm\n"
+        "A,2020-01-01T00:00:00Z,401.0\n"
+        "A,2020-01-01T00:00:00Z,402.0\n"
+        + "A,not-a-time,403.0\n" * 3
+    )
+    with pytest.raises(DuplicateKeyError, match="'A' @ 2020-01-01T00:00:00Z"):
+        ingest.read_station_series(write(tmp_path, "se.csv", text))
+
+
+def test_series_short_row_is_malformed(tmp_path):
+    text = (
+        "station_id,time_utc,co2_ppm\n"
+        "A,2020-01-01T00:00:00Z,401.0\n"
+        "B\n"
+        "A,2020-01-01T01:00:00Z,402.0\n"
+    )
+    assert len(ingest.read_station_series(write(tmp_path, "se.csv", text))) == 2
+
+
 # local times that fall outside datetime's years 1-9999 once moved to UTC
 OUT_OF_RANGE_TIMES = ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
 
