@@ -237,24 +237,21 @@ def cmd_evaluate(args) -> int:
 
 
 def _prediction_points(model_file, soundings_path, weather_path):
-    """Model predictions at every sounding location, as valued points."""
+    """Model predictions at every sounding location with usable weather."""
     soundings = ingest.read_soundings(soundings_path, quality_filter=True)
     archive = ingest.read_weather(weather_path)
-    X, usable = fusion.weather_features(soundings, archive)
+    X, _ = fusion.weather_features(soundings, archive)
     if not len(X):
         raise EmptyDatasetError("no sounding had usable weather context")
     if model_file:
         values = predict_batch(load(model_file), X)
     else:
         values = X[:, 0]  # raw xco2 fallback
-    locations = [s.location for s, ok in zip(soundings, usable) if ok]
-    points = [
-        interpolate.ValuedPoint(loc, float(v)) for loc, v in zip(locations, values)
-    ]
-    skipped = len(soundings) - len(points)
+    skipped = len(soundings) - len(X)
     if skipped:
         print(f"note: skipped {skipped} sounding(s) without nearby weather", file=sys.stderr)
-    return points
+    # feature columns 2 and 3 are the sounding latitude and longitude
+    return interpolate.PointSet(X[:, 2], X[:, 3], values)
 
 
 def cmd_predict_grid(args) -> int:

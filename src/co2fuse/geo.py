@@ -59,9 +59,6 @@ class BoundingBox:
                 "(antimeridian-spanning boxes are not supported)"
             )
 
-    def contains(self, p: GeoPoint) -> bool:
-        return self.south <= p.latitude <= self.north and self.west <= p.longitude <= self.east
-
     @classmethod
     def parse(cls, text: str) -> "BoundingBox":
         """Parse the CLI form 'S,W,N,E' in decimal degrees."""

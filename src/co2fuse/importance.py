@@ -182,8 +182,7 @@ def shapley_attribution(
     for phi in phis:
         abs_sum += np.abs(phi)
     mean_abs = abs_sum / X_rows.shape[0]
-    names = FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"feature_{i}" for i in range(d))
-    return _ranked("shapley", baseline, names, mean_abs)
+    return _ranked("shapley", baseline, FEATURE_NAMES, mean_abs)
 
 
 def permutation_importance(
@@ -217,8 +216,7 @@ def permutation_importance(
             Xp[:, i] = X[perm, i]
             acc += rmse(predict_batch(model, Xp)) - base
         deltas[i] = acc / repeats
-    names = FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"feature_{i}" for i in range(d))
-    return _ranked("permutation", base, names, deltas)
+    return _ranked("permutation", base, FEATURE_NAMES, deltas)
 
 
 def write_report_csv(report: AttributionReport, path) -> None:

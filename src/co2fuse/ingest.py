@@ -187,11 +187,6 @@ def epoch_years(micros: np.ndarray) -> np.ndarray:
     return (year.astype(np.int64) + 1970) + (micros - start) / (end - start)
 
 
-def to_epoch_years(dt: datetime) -> float:
-    """Continuous calendar time of one aware datetime (see epoch_years)."""
-    return float(epoch_years(to_micros([dt]))[0])
-
-
 def _finite(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError("non-finite value")
@@ -430,7 +425,6 @@ __all__ = [
     "write_weather",
     "parse_timestamp",
     "format_timestamp",
-    "to_epoch_years",
     "to_micros",
     "epoch_years",
     "parse_weather_window",

@@ -1,11 +1,13 @@
 """Weighted K-nearest-neighbor inverse-distance interpolation on the sphere.
 
-For a query location the K nearest measurements are found by great-circle
-distance, weighted by w = 1/d^p, the weights normalized to sum to one, and
-the weighted sum of the measured values returned. The d = 0 singularity is
-handled by clamping distances below epsilon_km; when p > 0 and any selected
-neighbor is within epsilon_km the result is the mean of those coincident
-points, so querying at a measured location reproduces the measurement.
+The measured points come in as columns: a PointSet of latitudes, longitudes
+and values. For a query location the K nearest points are found by
+great-circle distance, weighted by w = 1/d^p, the weights normalized to sum
+to one, and the weighted sum of the values returned. The d = 0 singularity
+is handled by clamping distances below EPSILON_KM = 1e-6 km; when p > 0 and
+any selected neighbor is within EPSILON_KM the result is the mean of those
+coincident points, so querying at a measured location reproduces the
+measurement.
 
 Neighbor search has one path. The cosine of the angle to every point (one
 dot product of unit vectors) picks a small superset of the k nearest; only
@@ -40,15 +42,8 @@ DEFAULT_P_LIST: tuple[float, ...] = (1.0, 0.2, 0.0)
 DEFAULT_GRID_K = 200
 DEFAULT_GRID_P = 0.05
 
-
-@dataclass(frozen=True)
-class ValuedPoint:
-    location: GeoPoint
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("point value must be finite")
+# distances below this count as coincident (and clamp the 1/d^p weights)
+EPSILON_KM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,15 +52,12 @@ class KnnParams:
 
     k: Optional[int] = DEFAULT_GRID_K
     p: float = DEFAULT_GRID_P
-    epsilon_km: float = 1e-6
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1 (or None for ALL)")
         if not (math.isfinite(self.p) and self.p >= 0.0):
             raise ValueError("p must be finite and >= 0")
-        if self.epsilon_km <= 0.0:
-            raise ValueError("epsilon_km must be > 0")
 
 
 # Slack below the k-th largest cosine when picking the points to rank. The dot
@@ -87,20 +79,31 @@ def _unit_vectors(lats, lons) -> np.ndarray:
 
 
 class PointSet:
-    """Columns of a point list in canonical (latitude, longitude, value) order.
+    """Measured points as columns, kept in canonical (latitude, longitude,
+    value) order for the search.
 
-    `order` maps a canonical position to the point's input index. `lats`,
-    `lons` and the unit vectors `xyz` are in canonical order, for the search;
-    `values` stay in input order, to be read by the indices k_nearest returns.
+    Takes three 1-d columns of equal length and keeps its own copies: finite
+    values, latitudes in [-90, 90] and longitudes already in [-180, 180)
+    (GeoPoint normalizes; this does not). `order` maps a canonical position
+    to the point's input index. `lats`, `lons` and the unit vectors `xyz` are
+    in canonical order, for the search; `values` stay in input order, to be
+    read by the indices k_nearest returns.
     """
 
-    def __init__(self, points: Sequence[ValuedPoint]):
-        if len(points) == 0:
+    def __init__(self, lats, lons, values):
+        lats, lons, values = (np.array(c, dtype=np.float64) for c in (lats, lons, values))
+        if lats.ndim != 1 or lats.shape != lons.shape or lats.shape != values.shape:
+            raise ValueError("point columns must be 1-d and of equal length")
+        if len(values) == 0:
             raise EmptyDatasetError("interpolation needs at least one measured point")
-        lats = np.array([p.location.latitude for p in points], dtype=np.float64)
-        lons = np.array([p.location.longitude for p in points], dtype=np.float64)
-        self.values = np.array([p.value for p in points], dtype=np.float64)
-        self.order = np.lexsort((self.values, lons, lats))
+        if not all(np.isfinite(c).all() for c in (lats, lons, values)):
+            raise ValueError("point coordinates and values must be finite")
+        if not (np.abs(lats) <= 90.0).all():
+            raise ValueError("point latitudes must lie in [-90, 90]")
+        if not ((lons >= -180.0) & (lons < 180.0)).all():
+            raise ValueError("point longitudes must lie in [-180, 180)")
+        self.values = values
+        self.order = np.lexsort((values, lons, lats))
         self.lats = lats[self.order]
         self.lons = lons[self.order]
         self.xyz = _unit_vectors(self.lats, self.lons)
@@ -130,10 +133,10 @@ class PointSet:
 
 def _weighted_value(dist: np.ndarray, values: np.ndarray, params: KnnParams) -> float:
     if params.p > 0.0:
-        coincident = dist <= params.epsilon_km
+        coincident = dist <= EPSILON_KM
         if coincident.any():
             return float(values[coincident].mean())
-    w = 1.0 / np.maximum(dist, params.epsilon_km) ** params.p
+    w = 1.0 / np.maximum(dist, EPSILON_KM) ** params.p
     w = w / w.sum()
     return float(w @ values)
 
@@ -164,14 +167,9 @@ def _interpolate(
     return out
 
 
-def knn_interpolate(
-    points: Sequence[ValuedPoint] | PointSet,
-    query: GeoPoint,
-    params: KnnParams,
-) -> float:
+def knn_interpolate(points: PointSet, query: GeoPoint, params: KnnParams) -> float:
     """Interpolated ppm value at `query` from the measured points."""
-    ps = points if isinstance(points, PointSet) else PointSet(points)
-    return float(_interpolate(ps, [query], [params])[0, 0])
+    return float(_interpolate(points, [query], [params])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -199,18 +197,13 @@ class Grid:
         return float(self.values.std())
 
 
-def rasterize_many(
-    points: Sequence[ValuedPoint] | PointSet, spec: GridSpec, pairs: Sequence[KnnParams]
-) -> list[Grid]:
+def rasterize_many(points: PointSet, spec: GridSpec, pairs: Sequence[KnnParams]) -> list[Grid]:
     """One grid per KnnParams pair, every cell ranked once for all of them."""
-    ps = points if isinstance(points, PointSet) else PointSet(points)
-    values = _interpolate(ps, cell_centers(spec), pairs)
+    values = _interpolate(points, cell_centers(spec), pairs)
     return [Grid(spec=spec, values=row) for row in values]
 
 
-def rasterize(
-    points: Sequence[ValuedPoint] | PointSet, spec: GridSpec, params: KnnParams
-) -> Grid:
+def rasterize(points: PointSet, spec: GridSpec, params: KnnParams) -> Grid:
     """knn_interpolate at every cell center of the grid."""
     return rasterize_many(points, spec, [params])[0]
 
@@ -231,16 +224,15 @@ def format_k(k: Optional[int]) -> str:
 
 
 def sweep(
-    points: Sequence[ValuedPoint] | PointSet,
+    points: PointSet,
     spec: GridSpec,
     k_list: Sequence[Optional[int]] = DEFAULT_K_LIST,
     p_list: Sequence[float] = DEFAULT_P_LIST,
-    epsilon_km: float = 1e-6,
 ) -> list[SweepRow]:
     """One rasterization per (k, p) pair; rows are k-major."""
     if not k_list or not p_list:
         raise ValueError("sweep needs non-empty k and p lists")
-    pairs = [KnnParams(k=k, p=p, epsilon_km=epsilon_km) for k in k_list for p in p_list]
+    pairs = [KnnParams(k=k, p=p) for k in k_list for p in p_list]
     grids = rasterize_many(points, spec, pairs)
     return [
         SweepRow(k=params.k, p=params.p, mean_ppm=grid.mean, std_ppm=grid.std)

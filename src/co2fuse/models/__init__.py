@@ -16,11 +16,10 @@ from .persist import (
     MODEL_KINDS,
     TrainedModel,
     load,
-    predict,
     predict_batch,
     save,
 )
-from .trees import TreeNode, fit_tree, predict_tree, tree_depth
+from .trees import TreeNode, fit_tree, predict_tree
 
 __all__ = [
     "LinearModel",
@@ -41,10 +40,8 @@ __all__ = [
     "TrainedModel",
     "save",
     "load",
-    "predict",
     "predict_batch",
     "TreeNode",
     "fit_tree",
     "predict_tree",
-    "tree_depth",
 ]

@@ -64,9 +64,6 @@ class CatModel:
                 scores[:, k] += self.learning_rate * predict_tree(tree, X)
         return scores
 
-    def predict_class_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.class_scores(X), axis=1)
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         scores = self.class_scores(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         if self.decode == "expectation":

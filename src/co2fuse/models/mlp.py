@@ -77,9 +77,9 @@ class MlpModel:
             activations.append(h)
         return h[:, 0], activations
 
-    def predict_batch(self, X: np.ndarray, standardized: bool = False) -> np.ndarray:
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.norm is not None and not standardized:
+        if self.norm is not None:
             X = standardize(X, self.norm)
         # the arithmetic of forward, with the bias and ReLU applied in place
         # and no activations kept
@@ -168,18 +168,21 @@ def train_mlp(
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     n = X.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            _, gw, gb = loss_and_gradients(model, X[batch], y[batch])
-            for i in range(len(model.weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * gw[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
-                model.weights[i] += vel_w[i]
-                model.biases[i] += vel_b[i]
-        epoch_loss = full_loss(model, X, y)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
-        model.loss_trace.append(epoch_loss)
+    # a diverging fit overflows before its loss turns non-finite; the typed
+    # error below reports it, not numpy's floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                _, gw, gb = loss_and_gradients(model, X[batch], y[batch])
+                for i in range(len(model.weights)):
+                    vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * gw[i]
+                    vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
+                    model.weights[i] += vel_w[i]
+                    model.biases[i] += vel_b[i]
+            epoch_loss = full_loss(model, X, y)
+            if not np.isfinite(epoch_loss):
+                raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
+            model.loss_trace.append(epoch_loss)
     return model

@@ -41,7 +41,6 @@ class TrainedModel:
     kind: str
     model: ModelObject
     feature_names: tuple[str, ...] = FEATURE_NAMES
-    format_version: str = FORMAT_VERSION
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -65,10 +64,6 @@ def predict_batch(tm: TrainedModel, X: np.ndarray) -> np.ndarray:
             f"feature matrix has {X.shape[1]} columns, expected {len(FEATURE_NAMES)}"
         )
     return tm.model.predict_batch(X)
-
-
-def predict(tm: TrainedModel, v: np.ndarray) -> float:
-    return float(predict_batch(tm, np.asarray(v, dtype=np.float64)[None, :])[0])
 
 
 def _f(x: float) -> str:

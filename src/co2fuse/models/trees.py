@@ -265,16 +265,6 @@ def leaf_boxes(trees, n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     )
 
 
-def tree_depth(root: TreeNode) -> int:
-    depth, stack = 0, [(root, 0)]
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        if not node.is_leaf:
-            stack += [(node.left, d + 1), (node.right, d + 1)]
-    return depth
-
-
 def tree_to_sexpr(root: TreeNode) -> str:
     """Serialize as nested lists: (split f thr left right) / (leaf value)."""
     parts, stack = [], [root]

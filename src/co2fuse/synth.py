@@ -29,7 +29,6 @@ from .ingest import (
     StationSeries,
     WeatherArchive,
     epoch_years,
-    to_epoch_years,
     to_micros,
     write_soundings,
     write_station_catalog,
@@ -95,12 +94,6 @@ def weather_law(cfg: SynthConfig, lat, lon, year_frac):
     cbh = 1400.0 + 500.0 * np.sin(2.0 * lon_r + season) + 300.0 * np.cos(4.0 * lat_r)
     tcc = 0.5 + 0.35 * np.sin(5.0 * lat_r + 2.0 * season) + 0.1 * np.cos(3.0 * lon_r)
     return u10, v10, sp, t2m, skin, vint, tcwv, cbh, tcc
-
-
-def true_field(cfg: SynthConfig, location: GeoPoint, when: datetime) -> float:
-    """Ground-truth ppm at a location and time (deterministic, noise-free)."""
-    years = to_epoch_years(when)
-    return float(_field_from_parts(cfg, location.latitude, location.longitude, years))
 
 
 def _field_from_parts(cfg: SynthConfig, lat, lon, years):

@@ -8,7 +8,9 @@ tree builder sorts every feature again at every node. The exceptions are
 ``fullscan_k_nearest``, ``reference_sweep`` and the per-sounding join: they
 pin the bits of the library's neighbour search, sweep and sounding join, so
 they measure every distance with the library's own haversine kernel and take
-grid statistics from its Grid.
+grid statistics from its Grid. The last section holds small helpers that only
+the tests need (point columns, tree depth, the synthetic truth at one point,
+the calendar time of one datetime); they call into the package.
 """
 
 import bisect
@@ -17,11 +19,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from co2fuse import ingest, synth
 from co2fuse.errors import NoDataError, StaleWeatherError
-from co2fuse.geo import cell_centers, geodesic_km_many
-from co2fuse.interpolate import Grid
+from co2fuse.geo import GeoPoint, cell_centers, geodesic_km_many
+from co2fuse.interpolate import Grid, PointSet
 
 EARTH_RADIUS_KM = 6371.0
+# distances at or below this are coincident; the 1/d^p weights clamp to it
+EPSILON_KM = 1e-6
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2):
@@ -40,7 +45,7 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, a)))
 
 
-def naive_knn(points, qlat, qlon, k, p, epsilon_km=1e-6):
+def naive_knn(points, qlat, qlon, k, p):
     """Full-scan weighted KNN oracle.
 
     points: iterable of (lat, lon, value). k=None means all points. Ties at
@@ -55,10 +60,10 @@ def naive_knn(points, qlat, qlon, k, p, epsilon_km=1e-6):
         k = len(ranked)
     chosen = ranked[: min(k, len(ranked))]
     if p > 0.0:
-        coincident = [v for d, _, _, v in chosen if d <= epsilon_km]
+        coincident = [v for d, _, _, v in chosen if d <= EPSILON_KM]
         if coincident:
             return sum(coincident) / len(coincident)
-    weights = [1.0 / max(d, epsilon_km) ** p for d, _, _, _ in chosen]
+    weights = [1.0 / max(d, EPSILON_KM) ** p for d, _, _, _ in chosen]
     total = sum(weights)
     return sum(w * v for w, (_, _, _, v) in zip(weights, chosen)) / total
 
@@ -71,16 +76,14 @@ def fullscan_k_nearest(lats, lons, values, query, k):
     return pick, dist[pick]
 
 
-def reference_sweep(points, spec, k_list, p_list, epsilon_km=1e-6):
-    """The sweep as one rasterization per (k, p) pair, k-major, with every
-    cell ranked anew by the full scan and weighted by w = 1/max(d, eps)^p.
+def reference_sweep(lats, lons, values, spec, k_list, p_list):
+    """The sweep over the points given as (lats, lons, values) columns, as one
+    rasterization per (k, p) pair, k-major, with every cell ranked anew by the
+    full scan and weighted by w = 1/max(d, eps)^p.
 
     Returns ([(k, p, mean, std)], [grid values]); mean and std are the
     library Grid's, so only the ranking and the weighting are re-derived.
     """
-    lats = np.array([q.location.latitude for q in points])
-    lons = np.array([q.location.longitude for q in points])
-    values = np.array([q.value for q in points])
     n = len(values)
     rows, grids = [], []
     for k in k_list:
@@ -93,11 +96,11 @@ def reference_sweep(points, spec, k_list, p_list, epsilon_km=1e-6):
                     continue
                 idx, dist = fullscan_k_nearest(lats, lons, values, center, k_eff)
                 near = values[idx]
-                coincident = dist <= epsilon_km
+                coincident = dist <= EPSILON_KM
                 if p > 0.0 and coincident.any():
                     cells.append(float(near[coincident].mean()))
                     continue
-                w = 1.0 / np.maximum(dist, epsilon_km) ** p
+                w = 1.0 / np.maximum(dist, EPSILON_KM) ** p
                 w = w / w.sum()
                 cells.append(float(w @ near))
             grid = Grid(spec=spec, values=np.array(cells, dtype=np.float64))
@@ -279,3 +282,45 @@ def reference_epoch_years(dt):
     start = datetime(dt.year, 1, 1, tzinfo=timezone.utc)
     end = datetime(dt.year + 1, 1, 1, tzinfo=timezone.utc)
     return dt.year + (dt - start) / (end - start)
+
+
+# ------------------------------------------------------- test-only helpers
+
+
+def point_columns(triples):
+    """(lats, lons, values) arrays of (lat, lon, value) triples, each location
+    normalized by GeoPoint first, as the package's readers do."""
+    triples = list(triples)
+    locations = [GeoPoint(float(lat), float(lon)) for lat, lon, _ in triples]
+    return (
+        np.array([g.latitude for g in locations]),
+        np.array([g.longitude for g in locations]),
+        np.array([float(v) for _, _, v in triples]),
+    )
+
+
+def point_set(triples):
+    """PointSet of (lat, lon, value) triples (see point_columns)."""
+    return PointSet(*point_columns(triples))
+
+
+def tree_depth(root):
+    """Longest root-to-leaf path of a TreeNode tree, in edges."""
+    depth, stack = 0, [(root, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if not node.is_leaf:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return depth
+
+
+def to_epoch_years(dt):
+    """The package's continuous calendar time of one aware datetime."""
+    return float(ingest.epoch_years(ingest.to_micros([dt]))[0])
+
+
+def true_field(cfg, location, when):
+    """Noise-free synthetic ground truth in ppm at a GeoPoint and time."""
+    years = to_epoch_years(when)
+    return float(synth._field_from_parts(cfg, location.latitude, location.longitude, years))

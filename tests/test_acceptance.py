@@ -25,7 +25,6 @@ from co2fuse.importance import _coalition_tables, exact_shapley_row, shapley_att
 from co2fuse.interpolate import (
     KnnParams,
     PointSet,
-    ValuedPoint,
     knn_interpolate,
     rasterize,
     sweep,
@@ -49,7 +48,7 @@ from co2fuse.models import (
 from co2fuse.models.mlp import full_loss, init_mlp, loss_and_gradients
 from co2fuse.synth import SynthConfig, generate_campaign
 
-from oracles import naive_knn
+from oracles import naive_knn, point_set
 
 CAMPAIGN_SEED = 43
 HOLDOUT = {"ST05", "ST10"}
@@ -133,11 +132,7 @@ def test_03_knn_oracle_equivalence():
             lats = rng.uniform(-60, 60, n)
             lons = rng.uniform(-179, 179, n)
             values = rng.normal(410, 5, n)
-            pts = [
-                ValuedPoint(GeoPoint(float(a), float(b)), float(v))
-                for a, b, v in zip(lats, lons, values)
-            ]
-            ps = PointSet(pts)
+            ps = point_set(zip(lats, lons, values))
             q = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-179, 179)))
             k = int(rng.integers(1, n + 1))
             p = float(rng.choice([0.0, 0.05, 0.2, 1.0, 2.0]))
@@ -145,12 +140,9 @@ def test_03_knn_oracle_equivalence():
             want = naive_knn(list(zip(lats, lons, values)), q.latitude, q.longitude, k, p)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
         # K = ALL with p = 0 must collapse to one exact global mean
-        pts = [
-            ValuedPoint(GeoPoint(float(a), float(b)), float(v))
-            for a, b, v in zip(
-                rng.uniform(50, 53, 300), rng.uniform(10, 14, 300), rng.normal(410, 5, 300)
-            )
-        ]
+        pts = point_set(
+            zip(rng.uniform(50, 53, 300), rng.uniform(10, 14, 300), rng.normal(410, 5, 300))
+        )
         grid = rasterize(pts, GridSpec(BoundingBox(50, 10, 53, 14), 0.5),
                          KnnParams(k=None, p=0.0))
         assert grid.std == 0.0
@@ -159,10 +151,7 @@ def test_03_knn_oracle_equivalence():
 def test_04_interpolation_hand_values():
     with criterion(4, "hand-computed interpolation values"):
         deg_per_km = 180.0 / (math.pi * 6371.0)
-        pts = [
-            ValuedPoint(GeoPoint(deg_per_km, 0.0), 10.0),
-            ValuedPoint(GeoPoint(-2.0 * deg_per_km, 0.0), 20.0),
-        ]
+        pts = point_set([(deg_per_km, 0.0, 10.0), (-2.0 * deg_per_km, 0.0, 20.0)])
         two_nn = knn_interpolate(pts, GeoPoint(0, 0), KnnParams(k=2, p=1.0))
         assert two_nn == pytest.approx(40.0 / 3.0, abs=1e-9)
         assert knn_interpolate(pts, GeoPoint(0, 0), KnnParams(k=1, p=1.0)) == 10.0
@@ -273,13 +262,16 @@ def test_09_shapley_correctness(bundle):
 
 def test_10_ablation_behavior(bundle):
     with criterion(10, "(K, p) sweep reproduces the ablation structure"):
-        points = [
-            ValuedPoint(s.location, s.xco2) for s in bundle["soundings"]
-        ]
+        soundings = bundle["soundings"]
+        values = [s.xco2 for s in soundings]
+        points = PointSet(
+            [s.location.latitude for s in soundings],
+            [s.location.longitude for s in soundings],
+            values,
+        )
         spec = GridSpec(bundle["cfg"].bbox, 1.0)
         rows = sweep(points, spec, k_list=(10, 200, 1000, None), p_list=(1.0, 0.2, 0.0))
         assert len(rows) == 12
-        values = [p.value for p in points]
         lo, hi = min(values), max(values)
         for row in rows:
             assert lo <= row.mean_ppm <= hi

@@ -247,7 +247,8 @@ def test_predict_grid_outputs_and_k1_oracle(small_campaign_dir, workdir, tmp_pat
         str(camp / "soundings.csv"),
         str(camp / "weather.csv"),
     )
-    raw = [(p.location.latitude, p.location.longitude, p.value) for p in points]
+    # the columns in the point set's canonical order
+    raw = list(zip(points.lats, points.lons, points.values[points.order]))
     rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
     assert len(rows) == 3 * 4
     for row in rows:
@@ -368,14 +369,15 @@ def test_evaluate_edited_gbt_model_exit_code(workdir, tmp_path, edit, code):
     ) == code
 
 
-def _run_subprocess(*argv):
+def _run_subprocess(*argv, python_flags=()):
     """`python -m co2fuse.cli argv` in a fresh interpreter, so that the
-    logging configuration starts from nothing."""
+    logging and warning configuration starts from nothing."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "co2fuse.cli", *argv], capture_output=True, env=env, check=False
+        [sys.executable, *python_flags, "-m", "co2fuse.cli", *argv],
+        capture_output=True, env=env, check=False,
     )
 
 
@@ -396,6 +398,19 @@ def test_verbose_logs_to_stderr_and_keeps_stdout(small_campaign_dir, tmp_path):
     drop_line = b"sounding(s) failing the quality flag"
     assert drop_line in loud.stderr
     assert drop_line not in quiet.stderr
+
+
+def test_diverging_mlp_fit_exits_2_without_a_traceback(workdir, tmp_path):
+    # floating-point warnings escalated to errors must not escape the typed one
+    done = _run_subprocess(
+        "train", "--dataset", str(workdir / "dataset.csv"), "--model", "mlp",
+        "--learning-rate", "0.05", "--epochs", "3", "--out", str(tmp_path / "m"),
+        python_flags=("-W", "error::RuntimeWarning"),
+    )
+    assert done.returncode == 2, done.stderr
+    assert b"non-finite at epoch" in done.stderr
+    assert b"Traceback" not in done.stderr
+    assert not (tmp_path / "m").exists()
 
 
 # byte edits of a file: replace, insert or delete one byte, or cut the file

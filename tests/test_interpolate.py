@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from co2fuse.interpolate import (
     Grid,
     KnnParams,
     PointSet,
-    ValuedPoint,
     knn_interpolate,
     rasterize,
     rasterize_many,
@@ -21,57 +21,90 @@ from co2fuse.interpolate import (
     write_pgm,
 )
 
-from oracles import fullscan_k_nearest, naive_knn, reference_sweep
+from oracles import fullscan_k_nearest, naive_knn, point_columns, point_set, reference_sweep
 
 DEG_PER_KM = 180.0 / (math.pi * 6371.0)
 
 
-def vp(lat, lon, value):
-    return ValuedPoint(GeoPoint(lat, lon), value)
-
-
 def random_points(rng, n, lat=(-60, 60), lon=(-179, 179)):
-    return [
-        vp(float(a), float(b), float(v))
-        for a, b, v in zip(
-            rng.uniform(*lat, n), rng.uniform(*lon, n), rng.normal(410, 5, n)
-        )
-    ]
+    """(lats, lons, values) columns of n random points."""
+    return point_columns(zip(rng.uniform(*lat, n), rng.uniform(*lon, n), rng.normal(410, 5, n)))
 
 
 def test_hand_weighted_case():
     # neighbors at 1 km and 2 km with values 10 and 20: weights {1, 1/2}
     # normalize to {2/3, 1/3} so the estimate is 13.333...
-    pts = [vp(DEG_PER_KM, 0.0, 10.0), vp(-2 * DEG_PER_KM, 0.0, 20.0)]
+    pts = point_set([(DEG_PER_KM, 0.0, 10.0), (-2 * DEG_PER_KM, 0.0, 20.0)])
     v = knn_interpolate(pts, GeoPoint(0, 0), KnnParams(k=2, p=1.0))
     assert v == pytest.approx(40.0 / 3.0, abs=1e-9)
 
 
 def test_k1_returns_nearest_value():
-    pts = [vp(DEG_PER_KM, 0.0, 10.0), vp(-2 * DEG_PER_KM, 0.0, 20.0)]
+    pts = point_set([(DEG_PER_KM, 0.0, 10.0), (-2 * DEG_PER_KM, 0.0, 20.0)])
     assert knn_interpolate(pts, GeoPoint(0, 0), KnnParams(k=1, p=1.0)) == 10.0
 
 
 def test_p0_k_all_is_plain_mean():
-    pts = [vp(1, 1, 5.0), vp(2, 2, 7.0), vp(3, 3, 9.0)]
+    pts = point_set([(1, 1, 5.0), (2, 2, 7.0), (3, 3, 9.0)])
     assert knn_interpolate(pts, GeoPoint(0, 0), KnnParams(k=None, p=0.0)) == pytest.approx(7.0)
 
 
 def test_exact_hit_returns_measurement():
-    pts = [vp(10.0, 20.0, 444.0), vp(11.0, 20.0, 400.0), vp(10.0, 21.0, 401.0)]
+    pts = point_set([(10.0, 20.0, 444.0), (11.0, 20.0, 400.0), (10.0, 21.0, 401.0)])
     got = knn_interpolate(pts, GeoPoint(10.0, 20.0), KnnParams(k=3, p=1.0))
     assert got == 444.0
 
 
 def test_coincident_points_average():
-    pts = [vp(10.0, 20.0, 440.0), vp(10.0, 20.0, 450.0), vp(12.0, 20.0, 400.0)]
+    pts = point_set([(10.0, 20.0, 440.0), (10.0, 20.0, 450.0), (12.0, 20.0, 400.0)])
     got = knn_interpolate(pts, GeoPoint(10.0, 20.0), KnnParams(k=3, p=2.0))
     assert got == pytest.approx(445.0)
 
 
 def test_empty_points_rejected():
     with pytest.raises(EmptyDatasetError):
-        knn_interpolate([], GeoPoint(0, 0), KnnParams(k=1, p=1.0))
+        PointSet([], [], [])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "lats, lons, values, error",
+    [
+        ([0.0, 1.0], [0.0, 1.0], [410.0, NAN], ValueError),
+        ([0.0, 1.0], [0.0, 1.0], [410.0, INF], ValueError),
+        ([0.0, 1.0], [0.0, 1.0], [-INF, 410.0], ValueError),
+        ([0.0, NAN], [0.0, 1.0], [410.0, 411.0], ValueError),
+        ([0.0, 91.0], [0.0, 1.0], [410.0, 411.0], ValueError),
+        ([0.0, -91.0], [0.0, 1.0], [410.0, 411.0], ValueError),
+        ([0.0, 1.0], [0.0, 180.0], [410.0, 411.0], ValueError),
+        ([0.0, 1.0], [0.0, -180.5], [410.0, 411.0], ValueError),
+        ([0.0, 1.0], [0.0, INF], [410.0, 411.0], ValueError),
+        ([0.0, 1.0], [0.0], [410.0, 411.0], ValueError),
+        ([0.0, 1.0], [0.0, 1.0], [410.0], ValueError),
+        ([[0.0, 1.0]], [[0.0, 1.0]], [[410.0, 411.0]], ValueError),
+        ([0.0, 1.0], [[0.0, 1.0]], [410.0, 411.0], ValueError),
+        ([], [], [], EmptyDatasetError),
+    ],
+)
+def test_point_set_checks_its_columns(lats, lons, values, error):
+    with pytest.raises(error):
+        PointSet(np.array(lats), np.array(lons), np.array(values))
+
+
+def test_point_set_keeps_no_view_of_the_callers_arrays():
+    rng = np.random.default_rng(19)
+    X = np.column_stack((*random_points(rng, 60), rng.normal(size=60)))
+    ps = PointSet(X[:, 0], X[:, 1], X[:, 2])
+    query, params = GeoPoint(5.0, 20.0), KnnParams(k=7, p=1.0)
+    spec = GridSpec(BoundingBox(-10, -10, 10, 30), 5.0)
+    before = (knn_interpolate(ps, query, params), rasterize(ps, spec, params).values.tobytes())
+    X[:, 0] = -X[:, 0]
+    X[:, 1] = 0.0
+    X[:, 2] = 0.0
+    after = (knn_interpolate(ps, query, params), rasterize(ps, spec, params).values.tobytes())
+    assert after == before
 
 
 def test_params_validation():
@@ -79,8 +112,8 @@ def test_params_validation():
         KnnParams(k=0, p=1.0)
     with pytest.raises(ValueError):
         KnnParams(k=1, p=-0.5)
-    with pytest.raises(ValueError):
-        KnnParams(k=1, p=1.0, epsilon_km=0.0)
+    # the coincidence radius is a module constant, not a parameter
+    assert [f.name for f in dataclasses.fields(KnnParams)] == ["k", "p"]
 
 
 def test_index_matches_naive_oracle_on_random_instances():
@@ -88,8 +121,8 @@ def test_index_matches_naive_oracle_on_random_instances():
     for trial in range(60):
         n = int(rng.integers(2, 240))
         pts = random_points(rng, n)
-        ps = PointSet(pts)
-        raw = [(p.location.latitude, p.location.longitude, p.value) for p in pts]
+        ps = PointSet(*pts)
+        raw = list(zip(*pts))
         for _ in range(3):
             q = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-179, 179)))
             k = int(rng.integers(1, n + 1))
@@ -112,14 +145,13 @@ def tie_prone_searches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     qlat, qlon = draw(st.sampled_from(QUERY_SITES))
     values = draw(st.sampled_from(((410.0,), (400.0, 410.0), (400.0, 405.0, 410.0, 415.0))))
-    points = []
+    points = []  # (lat, lon, value), the location normalized by GeoPoint
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(
             ("lattice", "duplicate", "coincident", "pole", "antimeridian", "antipode", "real")
         ))
         if kind == "duplicate" and points:
-            twin = points[int(rng.integers(len(points)))].location
-            lat, lon = twin.latitude, twin.longitude
+            lat, lon, _ = points[int(rng.integers(len(points)))]
         elif kind == "coincident":
             lat, lon = qlat, qlon
         elif kind == "pole":
@@ -135,19 +167,17 @@ def tie_prone_searches(draw):
         else:
             lat = float(np.clip(qlat + 0.25 * int(rng.integers(-4, 5)), -90.0, 90.0))
             lon = qlon + 0.25 * int(rng.integers(-4, 5))
-        points.append(vp(lat, lon, float(rng.choice(values))))
-    return points, GeoPoint(qlat, qlon)
+        loc = GeoPoint(lat, lon)
+        points.append((loc.latitude, loc.longitude, float(rng.choice(values))))
+    return tuple(np.array(c) for c in zip(*points)), GeoPoint(qlat, qlon)
 
 
 @settings(max_examples=300, deadline=None)
 @given(tie_prone_searches())
 def test_k_nearest_matches_fullscan_oracle_bit_for_bit(search):
-    points, query = search
-    ps = PointSet(points)
-    lats = np.array([p.location.latitude for p in points])
-    lons = np.array([p.location.longitude for p in points])
-    values = np.array([p.value for p in points])
-    for k in range(1, len(points) + 1):
+    (lats, lons, values), query = search
+    ps = PointSet(lats, lons, values)
+    for k in range(1, len(values) + 1):
         idx, dist = ps.k_nearest(query, k)
         want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
         assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes(), k
@@ -161,17 +191,17 @@ def tie_prone_sweeps(draw):
     the point count, K = all present or not, p = 0 present or not. Values
     are either from a short list or all distinct, so that sums of them
     depend on the order they are added in."""
-    points, query = draw(tie_prone_searches())
+    (lats, lons, values), query = draw(tie_prone_searches())
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        points = [ValuedPoint(q.location, float(rng.normal(410.0, 5.0))) for q in points]
+        values = np.array([float(rng.normal(410.0, 5.0)) for _ in values])
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     south = float(np.clip(query.latitude - 0.25, -90.0, 90.0 - 0.25 * rows))
     west = float(np.clip(query.longitude - 0.25, -180.0, 180.0 - 0.25 * cols))
     spec = GridSpec(BoundingBox(south, west, south + 0.25 * rows, west + 0.25 * cols), 0.25)
     k_list = draw(st.lists(st.one_of(st.none(), st.integers(1, 45)), min_size=1, max_size=5))
     p_list = draw(st.lists(st.sampled_from((0.0, 0.05, 0.2, 1.0, 2.0)), min_size=1, max_size=4))
-    return points, spec, k_list, p_list
+    return (lats, lons, values), spec, k_list, p_list
 
 
 def _bits(x) -> bytes:
@@ -181,8 +211,9 @@ def _bits(x) -> bytes:
 @settings(max_examples=200, deadline=None)
 @given(tie_prone_sweeps())
 def test_sweep_matches_per_pair_oracle_bit_for_bit(case):
-    points, spec, k_list, p_list = case
-    want_rows, want_grids = reference_sweep(points, spec, k_list, p_list)
+    columns, spec, k_list, p_list = case
+    want_rows, want_grids = reference_sweep(*columns, spec, k_list, p_list)
+    points = PointSet(*columns)
     rows = sweep(points, spec, k_list, p_list)
     assert [(r.k, r.p) for r in rows] == [(k, p) for k, p, _, _ in want_rows]
     for row, (_, _, mean, std) in zip(rows, want_rows):
@@ -196,9 +227,9 @@ def test_sweep_matches_per_pair_oracle_bit_for_bit(case):
 def test_convexity_of_estimates():
     rng = np.random.default_rng(23)
     pts = random_points(rng, 120)
-    values = [p.value for p in pts]
+    values = pts[2]
     lo, hi = min(values), max(values)
-    ps = PointSet(pts)
+    ps = PointSet(*pts)
     for _ in range(40):
         q = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-179, 179)))
         k = int(rng.integers(1, 121))
@@ -210,8 +241,9 @@ def test_convexity_of_estimates():
 def test_permutation_invariance_exact():
     rng = np.random.default_rng(29)
     pts = random_points(rng, 50)
-    shuffled = list(pts)
+    shuffled = list(zip(*pts))
     rng.shuffle(shuffled)
+    pts, shuffled = PointSet(*pts), PointSet(*map(np.array, zip(*shuffled)))
     qs = [GeoPoint(float(rng.uniform(-50, 50)), float(rng.uniform(-170, 170)))
           for _ in range(10)]
     for q in qs:
@@ -223,7 +255,7 @@ def test_permutation_invariance_exact():
 
 def test_antimeridian_neighbors_found():
     # the search must see across the date line
-    pts = [vp(0.0, 179.9, 100.0), vp(0.0, -179.9, 200.0), vp(0.0, 0.0, 300.0)]
+    pts = point_set([(0.0, 179.9, 100.0), (0.0, -179.9, 200.0), (0.0, 0.0, 300.0)])
     got = knn_interpolate(pts, GeoPoint(0.0, -179.95), KnnParams(k=2, p=0.0))
     assert got == pytest.approx(150.0)
 
@@ -236,11 +268,11 @@ def test_index_matches_oracle_across_antimeridian():
                         rng.uniform(175, 180, n), rng.uniform(-180, -175, n))
         lats = rng.uniform(-40, 40, n)
         values = rng.normal(410, 5, n)
-        pts = [vp(float(a), float(b), float(v)) for a, b, v in zip(lats, lons, values)]
+        pts = point_set(zip(lats, lons, values))
         q = GeoPoint(float(rng.uniform(-40, 40)),
                      float(rng.choice([179.7, -179.7, 178.0, -178.0])))
         k = int(rng.integers(1, n + 1))
-        got = knn_interpolate(PointSet(pts), q, KnnParams(k=k, p=1.0))
+        got = knn_interpolate(pts, q, KnnParams(k=k, p=1.0))
         want = naive_knn(list(zip(lats, lons, values)), q.latitude, q.longitude, k, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -252,24 +284,24 @@ def test_index_matches_oracle_near_poles():
         lats = rng.uniform(80, 90, n)
         lons = rng.uniform(-179, 179, n)
         values = rng.normal(410, 5, n)
-        pts = [vp(float(a), float(b), float(v)) for a, b, v in zip(lats, lons, values)]
+        pts = point_set(zip(lats, lons, values))
         q = GeoPoint(float(rng.uniform(80, 90)), float(rng.uniform(-179, 179)))
         k = int(rng.integers(1, n + 1))
-        got = knn_interpolate(PointSet(pts), q, KnnParams(k=k, p=0.5))
+        got = knn_interpolate(pts, q, KnnParams(k=k, p=0.5))
         want = naive_knn(list(zip(lats, lons, values)), q.latitude, q.longitude, k, 0.5)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_single_point_grid_uniform():
     spec = GridSpec(BoundingBox(50, 10, 52, 12), 0.5)
-    grid = rasterize([vp(51, 11, 415.0)], spec, KnnParams(k=5, p=1.0))
+    grid = rasterize(point_set([(51, 11, 415.0)]), spec, KnnParams(k=5, p=1.0))
     assert np.all(grid.values == 415.0)
     assert grid.std == 0.0
 
 
 def test_k_all_p0_grid_std_exactly_zero():
     rng = np.random.default_rng(31)
-    pts = random_points(rng, 200, lat=(50, 52), lon=(10, 12))
+    pts = PointSet(*random_points(rng, 200, lat=(50, 52), lon=(10, 12)))
     spec = GridSpec(BoundingBox(50, 10, 52, 12), 0.25)
     grid = rasterize(pts, spec, KnnParams(k=None, p=0.0))
     assert grid.std == 0.0
@@ -278,10 +310,10 @@ def test_k_all_p0_grid_std_exactly_zero():
 def test_rasterize_matches_per_cell_oracle():
     rng = np.random.default_rng(37)
     pts = random_points(rng, 100, lat=(50, 53), lon=(10, 14))
-    raw = [(p.location.latitude, p.location.longitude, p.value) for p in pts]
+    raw = list(zip(*pts))
     spec = GridSpec(BoundingBox(50, 10, 53, 14), 0.4)
     params = KnnParams(k=5, p=1.0)
-    grid = rasterize(pts, spec, params)
+    grid = rasterize(PointSet(*pts), spec, params)
     for center, got in zip(cell_centers(spec), grid.values):
         want = naive_knn(raw, center.latitude, center.longitude, 5, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
@@ -291,9 +323,9 @@ def test_sweep_default_grid_is_twelve_rows():
     rng = np.random.default_rng(41)
     pts = random_points(rng, 150, lat=(50, 53), lon=(10, 14))
     spec = GridSpec(BoundingBox(50, 10, 53, 14), 1.0)
-    rows = sweep(pts, spec)
+    rows = sweep(PointSet(*pts), spec)
     assert len(rows) == 12
-    values = [p.value for p in pts]
+    values = pts[2]
     for row in rows:
         assert min(values) <= row.mean_ppm <= max(values)
     by_key = {(r.k, r.p): r for r in rows}
@@ -302,7 +334,7 @@ def test_sweep_default_grid_is_twelve_rows():
 
 def test_sweep_rejects_empty_lists():
     with pytest.raises(ValueError):
-        sweep([vp(0, 0, 1.0)], GridSpec(BoundingBox(-1, -1, 1, 1), 1.0), k_list=())
+        sweep(point_set([(0, 0, 1.0)]), GridSpec(BoundingBox(-1, -1, 1, 1), 1.0), k_list=())
 
 
 def test_grid_requires_matching_length():

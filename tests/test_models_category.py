@@ -36,7 +36,7 @@ def test_separable_two_class_accuracy():
     X = np.concatenate([rng.normal(-2, 0.3, (10, 1)), rng.normal(2, 0.3, (10, 1))])
     y = np.concatenate([np.full(10, 400.0), np.full(10, 424.9)])
     m = train_catboost(X, y, CatBoostConfig(iterations=100))
-    classes = m.predict_class_batch(X)
+    classes = np.argmax(m.class_scores(X), axis=1)
     expected = np.where(y < 410, 0, 24)
     assert np.mean(classes == expected) == 1.0
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from co2fuse.errors import EmptyDatasetError
-from co2fuse.models import GbtConfig, train_gbt, tree_depth
+from co2fuse.models import GbtConfig, train_gbt
+
+from oracles import tree_depth
 
 
 def test_constant_labels_predict_constant():

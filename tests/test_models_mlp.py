@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,7 @@ def test_fits_linear_target():
     X = rng.normal(size=(500, 2))
     y = 2.0 * X[:, 0] + 1.0
     m = train_mlp(X, y, MlpConfig(hidden_sizes=(16, 8), epochs=200, l2_lambda=0.0, seed=1))
-    pred = m.predict_batch(X, standardized=True)
+    pred = m.predict_batch(X)
     rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
     assert rmse < 0.05
     # a linear target is representable: the OLS line is the floor to approach
@@ -100,9 +102,8 @@ def test_divergence_reports_epoch():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(64, 3))
     y = rng.normal(size=64) * 100
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergedError, match="epoch"):
-            train_mlp(X, y, MlpConfig(hidden_sizes=(8,), learning_rate=1e4, epochs=20))
+    with pytest.raises(TrainingDivergedError, match="epoch"):
+        train_mlp(X, y, MlpConfig(hidden_sizes=(8,), learning_rate=1e4, epochs=20))
 
 
 def test_deterministic_under_seed():
@@ -139,4 +140,6 @@ def test_predict_batch_matches_forward_bit_for_bit():
     queries = rng.normal(415, 5, size=(1000, 14))
     want = m.forward(standardize(queries, stats))[0]
     assert m.predict_batch(queries).tobytes() == want.tobytes()
-    assert m.predict_batch(standardize(queries, stats), standardized=True).tobytes() == want.tobytes()
+    # without stats the model reads its input as already standardized
+    unscaled = dataclasses.replace(m, norm=None)
+    assert unscaled.predict_batch(standardize(queries, stats)).tobytes() == want.tobytes()

@@ -11,7 +11,6 @@ from co2fuse.models import (
     MlpConfig,
     TrainedModel,
     load,
-    predict,
     predict_batch,
     save,
     train_baseline,
@@ -89,7 +88,7 @@ def test_fingerprint_mismatch_blocks_prediction(tmp_path):
     path.write_text(text)
     back = load(path)
     with pytest.raises(FeatureOrderError):
-        predict(back, np.zeros(14))
+        predict_batch(back, np.zeros((1, 14)))
 
 
 def test_wrong_feature_count_rejected_at_predict():
@@ -104,7 +103,7 @@ def test_linear_predict_value():
     tm = TrainedModel("baseline", LinearModel(slope=1.0, intercept=0.0))
     v = np.zeros(14)
     v[0] = 410.0
-    assert predict(tm, v) == 410.0
+    assert predict_batch(tm, v[None, :])[0] == 410.0
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path):
@@ -182,7 +181,7 @@ def test_deeply_nested_tree_loads(tmp_path):
     lines[-1] = "(split 0 415 " * 3000 + "(leaf -1)" + " (leaf 1))" * 3000
     back = _load_text(tmp_path, "\n".join(lines) + "\n")
     v = np.full(14, 415.0)
-    assert predict(back, v) == back.model.base_score + back.model.learning_rate
+    assert predict_batch(back, v[None, :])[0] == back.model.base_score + back.model.learning_rate
 
 
 def _first_leaf(text, bad):

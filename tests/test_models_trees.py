@@ -11,12 +11,11 @@ from co2fuse.models.trees import (
     fit_tree,
     predict_tree,
     presort,
-    tree_depth,
     tree_from_sexpr,
     tree_to_sexpr,
 )
 
-from oracles import predict_rows_one_at_a_time, reference_tree_sexpr
+from oracles import predict_rows_one_at_a_time, reference_tree_sexpr, tree_depth
 
 
 @st.composite
