@@ -7,7 +7,8 @@ line-oriented config file (`key = value`, `#` comments, keys spelled like
 the long flags, with `-` or `_`); explicit flags win over config values,
 config values over the defaults, and unknown config keys are errors. A bad
 flag value is a usage error (64), a bad config value a bad input (2). train
-refuses, in the same way, an option that its --model kind does not read.
+and importance refuse, in the same way, an option that their --model kind
+or --method does not read.
 
 Only train, synth and importance draw random numbers. Their --seed plus a
 fixed per-command offset (train +1, synth +2, importance +3) seeds them.
@@ -58,6 +59,9 @@ from .synth import SynthConfig, generate_campaign, write_campaign
 
 SEED_OFFSETS = {"train": 1, "synth": 2, "importance": 3}
 METHODS = ("shapley", "permutation")
+# the options whose value an option's `kinds` name: train's --model and
+# importance's --method
+_SELECTORS = ("model", "method")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,8 +124,8 @@ def _resolve(args) -> SimpleNamespace:
 
     Flags are parsed with argparse.SUPPRESS, so a flag not given leaves no
     attribute on `args`, whatever value the option may legitimately take.
-    An option whose `kinds` leave out the resolved --model is refused: as a
-    flag it is a usage error, as a config key a ValueError."""
+    An option whose `kinds` leave out the resolved --model or --method is
+    refused: as a flag it is a usage error, as a config key a ValueError."""
     config = _read_config(args.config) if args.config else {}
     unknown = set(config) - {dest for dest, *_ in args.options}
     if unknown:
@@ -132,14 +136,15 @@ def _resolve(args) -> SimpleNamespace:
             resolved[dest] = getattr(args, dest)
         else:
             resolved[dest] = cast(config[dest]) if dest in config else default
-    model = resolved.get("model")
+    selector = next((dest for dest in _SELECTORS if dest in resolved), None)
+    kind = resolved.get(selector)
     for dest, flag, _, _, extras in args.options:
-        if model is None or model in extras.get("kinds", (model,)):
+        if kind is None or kind in extras.get("kinds", (kind,)):
             continue
         if hasattr(args, dest):
-            args.parser.error(f"{flag} is not read by --model {model}")
+            args.parser.error(f"{flag} is not read by --{selector} {kind}")
         if dest in config:
-            raise ValueError(f"config key {dest!r} is not read by --model {model}")
+            raise ValueError(f"config key {dest!r} is not read by --{selector} {kind}")
     return SimpleNamespace(**resolved)
 
 
@@ -352,7 +357,8 @@ def cmd_synth(args) -> int:
 def _opt(flag, cast=str, default=None, **extras):
     """One option: (dest, flag, cast, default, extras). The cast reads both
     the flag's text and the config value. The extras go to argparse, except
-    `kinds`: the train --model kinds that read the option, where not all."""
+    `kinds`: the train --model kinds or importance --methods that read the
+    option, where not all."""
     return flag[2:].replace("-", "_"), flag, cast, default, extras
 
 
@@ -426,8 +432,8 @@ COMMANDS = {
         _opt("--model-file"),
         _opt("--dataset"),
         _opt("--method", str, METHODS[0], choices=METHODS),
-        _opt("--rows", int, DEFAULT_SHAPLEY_ROWS),
-        _opt("--repeats", int, DEFAULT_REPEATS),
+        _opt("--rows", int, DEFAULT_SHAPLEY_ROWS, kinds=("shapley",)),
+        _opt("--repeats", int, DEFAULT_REPEATS, kinds=("permutation",)),
         _SEED,
         _out(),
     )),

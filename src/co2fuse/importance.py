@@ -19,7 +19,11 @@ two routes that give the same numbers up to rounding:
   phi_i of Sx and subtracts v a! (b-1)! / (a+b)! from each of Sz.
 - every other model: the full enumeration of the 2^14 coalitions per row
   (`exact_shapley_row`), which is also the oracle of the leaf sum.
-  catboost stays here because its decode is not additive over trees.
+  catboost stays here because its decode is not additive over trees. The
+  2^14 imputed rows go to the model as one batch (the MLP predicts it in
+  1,024-row blocks), and each feature's pairs of coalitions without and
+  with it are two strided views of the values, weighted by a vector built
+  once per feature count.
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ def _ranked(method: str, baseline: float, names, values) -> AttributionReport:
 
 
 def _coalition_tables(d: int):
-    """Static enumeration tables for exact Shapley over d features."""
+    """Static enumeration tables for exact Shapley over d features: the
+    (2^d, d) membership of each coalition mask, and per feature i the weight
+    of each of its 2^(d-1) marginal contributions v(S + i) - v(S), for the
+    masks S without bit i in increasing order."""
     n_masks = 1 << d
     masks = np.arange(n_masks, dtype=np.int64)
     member = np.zeros((n_masks, d), dtype=bool)
@@ -84,7 +91,8 @@ def _coalition_tables(d: int):
     w_by_size = np.array(
         [fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)], dtype=np.float64
     )
-    return member, sizes, w_by_size
+    weights = [w_by_size[sizes[~member[:, i]]] for i in range(d)]
+    return member, weights
 
 
 def exact_shapley_row(
@@ -93,16 +101,21 @@ def exact_shapley_row(
     mu: np.ndarray,
     tables=None,
 ) -> np.ndarray:
-    """Exact Shapley values of one row under mean imputation."""
+    """Exact Shapley values of one row under mean imputation.
+
+    The masks with bit i set and without it alternate in runs of 2^i, so
+    feature i's coalition pairs are two strided views of v, read in the
+    order of the weights of ``_coalition_tables``."""
     d = x.shape[0]
-    member, sizes, w_by_size = tables if tables is not None else _coalition_tables(d)
+    member, weights = tables if tables is not None else _coalition_tables(d)
     imputed = np.where(member, x[None, :], mu[None, :])
     v = np.asarray(predict_fn(imputed), dtype=np.float64)
     phi = np.empty(d, dtype=np.float64)
     for i in range(d):
-        without = np.nonzero(~member[:, i])[0]
-        partner = without + (1 << i)
-        phi[i] = float(np.sum(w_by_size[sizes[without]] * (v[partner] - v[without])))
+        pairs = v.reshape(-1, 2, 1 << i)
+        gain = (pairs[:, 1, :] - pairs[:, 0, :]).ravel()
+        gain *= weights[i]
+        phi[i] = float(np.sum(gain))
     return phi
 
 

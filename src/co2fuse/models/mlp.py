@@ -8,7 +8,10 @@ and a single linear output node. The training loss is
 with biases excluded from the penalty. Optimization is mini-batch gradient
 descent with classical momentum; everything is seeded and deterministic.
 The gradients are exposed separately so they can be checked against finite
-differences.
+differences. Prediction runs the forward pass over blocks of _BLOCK_ROWS
+rows, with the same bits as one pass over the whole batch (see the note at
+the constant), so a 2^14-row Shapley batch never holds its activations at
+once; training keeps every activation of its mini-batch for backprop.
 """
 
 from __future__ import annotations
@@ -22,6 +25,21 @@ from ..errors import EmptyDatasetError, TrainingDivergedError
 from ..fusion import NormStats, standardize
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 64, 32)
+
+# rows per block of predict_batch: no activation outgrows about 1,024 x 128
+# float64 (1 MiB), where a 2^14-row Shapley batch in one piece takes 16 MiB.
+# The blocks keep the bits of one pass over all rows:
+# - The block is a power of two, so that each starts on a BLAS tile boundary.
+#   The matrix kernel tiles rows in units of its unroll and sums a row of an
+#   edge tile in another order: 777-row blocks moved the last row of a block
+#   by 1 ulp. 1,024-row blocks matched one pass on one BLAS thread at every
+#   row count tried up to 41,000, run on 1 or 2 threads. (One pass on 2
+#   threads itself moves by an ulp at some counts above about 15,000 rows,
+#   where the threads split its rows off the tile grid.)
+# - A one-row tail joins the block before it: numpy multiplies a lone row
+#   as a vector, which sums in another order again.
+# A constant, not a setting.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -78,19 +96,28 @@ class MlpModel:
         return h[:, 0], activations
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """The arithmetic of forward, _BLOCK_ROWS rows at a time, with the
+        bias and ReLU applied in place and no activations kept."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.norm is not None:
-            X = standardize(X, self.norm)
-        # the arithmetic of forward, with the bias and ReLU applied in place
-        # and no activations kept
-        h = X
+        n = X.shape[0]
+        out = np.empty(n)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
-            h += b
-            if i != last:
-                np.maximum(h, 0.0, out=h)
-        return h[:, 0]
+        start = 0
+        while start < n:
+            stop = start + _BLOCK_ROWS
+            if stop + 1 >= n:  # the last block, with a one-row tail joined to it
+                stop = n
+            h = X[start:stop]
+            if self.norm is not None:
+                h = standardize(h, self.norm)
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                h = h @ w
+                h += b
+                if i != last:
+                    np.maximum(h, 0.0, out=h)
+            out[start:stop] = h[:, 0]
+            start = stop
+        return out
 
 
 def init_mlp(

@@ -8,7 +8,10 @@ tree builder sorts every feature again at every node. The exceptions are
 ``fullscan_k_nearest``, ``reference_sweep`` and the per-sounding join: they
 pin the bits of the library's neighbour search, sweep and sounding join, so
 they measure every distance with the library's own haversine kernel and take
-grid statistics from its Grid. The last section holds small helpers that only
+grid statistics from its Grid. ``mlp_predict_unblocked`` and
+``shapley_row_by_gathers`` likewise pin the bits of the blocked MLP forward
+pass and the strided Shapley sums: they keep the arithmetic of the one-shot
+pass and of the index-gather loop that those replaced. The last section holds small helpers that only
 the tests need (point columns, tree depth, the synthetic truth at one point,
 the calendar time of one datetime); they call into the package.
 """
@@ -282,6 +285,42 @@ def reference_epoch_years(dt):
     start = datetime(dt.year, 1, 1, tzinfo=timezone.utc)
     end = datetime(dt.year + 1, 1, 1, tzinfo=timezone.utc)
     return dt.year + (dt - start) / (end - start)
+
+
+# ------------------------------------------ MLP prediction and Shapley sums
+
+
+def mlp_predict_unblocked(model, X):
+    """An MlpModel's predictions in one pass over all rows: standardize when
+    the model has stats, then h @ w + b and ReLU, layer by layer."""
+    h = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if model.norm is not None:
+        h = (h - model.norm.mean) / model.norm.std
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = h @ w
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
+    return h[:, 0]
+
+
+def shapley_row_by_gathers(predict_fn, x, mu):
+    """Exact Shapley values of one row under mean imputation: every mask S
+    without bit i is found by np.nonzero and paired with S + 2^i by index."""
+    d = x.shape[0]
+    masks = np.arange(1 << d)
+    member = (masks[:, None] >> np.arange(d)) & 1 == 1
+    sizes = member.sum(axis=1)
+    fact = [math.factorial(i) for i in range(d + 1)]
+    w_by_size = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
+    v = np.asarray(predict_fn(np.where(member, x[None, :], mu[None, :])), dtype=np.float64)
+    phi = np.empty(d)
+    for i in range(d):
+        without = np.nonzero(~member[:, i])[0]
+        partner = without + (1 << i)
+        phi[i] = float(np.sum(w_by_size[sizes[without]] * (v[partner] - v[without])))
+    return phi
 
 
 # ------------------------------------------------------- test-only helpers

@@ -178,6 +178,63 @@ def test_train_option_of_another_kind_is_refused(monkeypatch, tmp_path, capsys, 
     assert f"{dest!r} is not read by --model {kind}" in capsys.readouterr().err
 
 
+# each importance option that one --method reads, with a non-default value
+METHOD_OPTIONS = {"rows": ("16", "shapley"), "repeats": ("2", "permutation")}
+
+
+@pytest.mark.parametrize("method", ["shapley", "permutation"])
+@pytest.mark.parametrize("dest", sorted(METHOD_OPTIONS))
+def test_importance_option_of_another_method_is_refused(
+    monkeypatch, tmp_path, capsys, method, dest
+):
+    value, reader = METHOD_OPTIONS[dest]
+    argv = ("importance", "--method", method, *_flag_argv(dest, value))
+    if method == reader:
+        assert resolved(monkeypatch, *argv)[dest] != DEFAULTS["importance"][dest]
+        return
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 64
+    assert f"--{dest} is not read by --method {method}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"method = {method}\n{dest} = {value}\n")
+    assert run("importance", "--config", str(cfg)) == 2
+    assert f"{dest!r} is not read by --method {method}" in capsys.readouterr().err
+
+
+def test_importance_repeats_under_the_default_method_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("importance", "--repeats", "2")
+    assert exc.value.code == 64
+    assert "--repeats is not read by --method shapley" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("repeats = 2\n")
+    assert run("importance", "--config", str(cfg)) == 2
+    assert "'repeats' is not read by --method shapley" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["shapley", "permutation"])
+def test_importance_seed_is_read_by_both_methods(monkeypatch, tmp_path, method):
+    assert resolved(monkeypatch, "importance", "--method", method, "--seed", "4")["seed"] == 4
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"method = {method}\nseed = 4\n")
+    assert resolved(monkeypatch, "importance", "--config", str(cfg))["seed"] == 4
+
+
+def test_permutation_importance_refuses_rows_and_runs_with_repeats(workdir, tmp_path, capsys):
+    common = ("importance", "--model-file", str(workdir / "mlp.model"),
+              "--dataset", str(workdir / "dataset.csv"), "--method", "permutation",
+              "--repeats", "1")
+    with pytest.raises(SystemExit) as exc:
+        run(*common, "--rows", "5", "--out", str(tmp_path / "refused.csv"))
+    assert exc.value.code == 64
+    assert not (tmp_path / "refused.csv").exists()
+    assert run(*common, "--out", str(tmp_path / "imp.csv")) == 0
+    lines = (tmp_path / "imp.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(fusion.FEATURE_NAMES)
+    assert all(line.endswith(",permutation") for line in lines[1:])
+
+
 def test_train_config_key_of_another_kind_exit_2(workdir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs = 5\n")
@@ -632,6 +689,9 @@ SAMPLES = {
 OPTION_CASES = [(c, d, v) for c, opts in SAMPLES.items() for d, v in opts.items()]
 OPTION_CASES.append(("predict-grid", "k", "all"))
 
+# options that the default --method does not read, with a method that does
+SELECTED_BY = {("importance", "repeats"): ("--method", "permutation")}
+
 
 def _flag_argv(dest, value):
     flag = "--" + dest.replace("_", "-")
@@ -645,12 +705,13 @@ def test_resolved_defaults(monkeypatch, command):
 
 @pytest.mark.parametrize("command, dest, value", OPTION_CASES)
 def test_flag_and_config_key_resolve_alike(monkeypatch, tmp_path, command, dest, value):
-    from_flag = resolved(monkeypatch, command, *_flag_argv(dest, value))[dest]
+    selector = SELECTED_BY.get((command, dest), ())
+    from_flag = resolved(monkeypatch, command, *selector, *_flag_argv(dest, value))[dest]
     assert from_flag != DEFAULTS[command][dest]
     for key in (dest.replace("_", "-"), dest):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        assert resolved(monkeypatch, command, "--config", str(cfg))[dest] == from_flag
+        assert resolved(monkeypatch, command, *selector, "--config", str(cfg))[dest] == from_flag
 
 
 def test_k_all_rasterizes_every_point(small_campaign_dir, workdir, tmp_path):

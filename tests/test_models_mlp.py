@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from co2fuse.fusion import fit_norm_stats, standardize
 from co2fuse.models import MlpConfig, param_count, train_mlp
 from co2fuse.models.mlp import full_loss, init_mlp, loss_and_gradients
 
-from oracles import ols_slope_intercept
+from oracles import mlp_predict_unblocked, ols_slope_intercept
 
 
 def test_param_count_paper_architecture():
@@ -143,3 +148,75 @@ def test_predict_batch_matches_forward_bit_for_bit():
     # without stats the model reads its input as already standardized
     unscaled = dataclasses.replace(m, norm=None)
     assert unscaled.predict_batch(standardize(queries, stats)).tobytes() == want.tobytes()
+
+
+def _random_net(hidden_sizes, with_norm, seed=11):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(14, MlpConfig(hidden_sizes=hidden_sizes), rng, output_bias=415.0)
+    if with_norm:
+        model.norm = fit_norm_stats(rng.normal(415, 5, size=(200, 14)))
+    return model
+
+
+# ragged tails, exact blocks and one row either side of a block edge
+BLOCK_CASES = [
+    (hidden_sizes, with_norm, n)
+    for hidden_sizes in ((64, 128, 64, 32), (5, 3, 7))
+    for with_norm in (True, False)
+    for n in (0, 1, 7, 1023, 1024, 1025, 2049, 16_384, 23_321)
+]
+
+
+def _blocked_predict_mismatches():
+    """Indices of the BLOCK_CASES where predict_batch and the one-shot oracle
+    differ in any bit."""
+    mismatches = []
+    for i, (hidden_sizes, with_norm, n) in enumerate(BLOCK_CASES):
+        model = _random_net(hidden_sizes, with_norm)
+        X = np.random.default_rng(n).normal(415, 5, size=(n, 14))
+        got = model.predict_batch(X)
+        if got.shape != (n,) or got.tobytes() != mlp_predict_unblocked(model, X).tobytes():
+            mismatches.append(i)
+    return mismatches
+
+
+@pytest.fixture(scope="module")
+def one_thread_mismatches():
+    """_blocked_predict_mismatches in a child process with one BLAS thread.
+    With more, the one-shot product of some 15,000 rows or more itself moves
+    in its last bits, because the threads split its rows off the kernel's
+    tile grid; the blocks keep to it (see mlp._BLOCK_ROWS)."""
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+    path = os.pathsep.join(filter(None, sys.path))
+    done = subprocess.run(
+        [sys.executable, __file__], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path, **one_thread),
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("hidden_sizes, with_norm, n", BLOCK_CASES, ids=[
+    f"{'x'.join(map(str, h))}-{'norm' if w else 'raw'}-{n}" for h, w, n in BLOCK_CASES
+])
+def test_blocked_predict_matches_one_shot_oracle(one_thread_mismatches, hidden_sizes,
+                                                 with_norm, n):
+    assert BLOCK_CASES.index((hidden_sizes, with_norm, n)) not in one_thread_mismatches
+
+
+def test_predict_of_a_shapley_batch_allocates_under_4_mib():
+    # one exact-Shapley row sends 2^14 coalitions through the default net
+    model = _random_net((64, 128, 64, 32), with_norm=True)
+    X = np.random.default_rng(0).normal(415, 5, size=(1 << 14, 14))
+    tracemalloc.start()
+    try:
+        model.predict_batch(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+if __name__ == "__main__":
+    # the child process of one_thread_mismatches
+    print(json.dumps(_blocked_predict_mismatches()))
