@@ -124,8 +124,10 @@ def _resolve(args) -> SimpleNamespace:
 
     Flags are parsed with argparse.SUPPRESS, so a flag not given leaves no
     attribute on `args`, whatever value the option may legitimately take.
-    An option whose `kinds` leave out the resolved --model or --method is
-    refused: as a flag it is a usage error, as a config key a ValueError."""
+    A --model or --method value from the config file outside the option's
+    choices is a ValueError, checked first. An option whose `kinds` leave
+    out the resolved --model or --method is then refused: as a flag it is a
+    usage error, as a config key a ValueError."""
     config = _read_config(args.config) if args.config else {}
     unknown = set(config) - {dest for dest, *_ in args.options}
     if unknown:
@@ -138,6 +140,10 @@ def _resolve(args) -> SimpleNamespace:
             resolved[dest] = cast(config[dest]) if dest in config else default
     selector = next((dest for dest in _SELECTORS if dest in resolved), None)
     kind = resolved.get(selector)
+    for dest, flag, _, _, extras in args.options:
+        if dest == selector and kind is not None and kind not in extras["choices"]:
+            raise ValueError(f"{flag}: invalid choice {kind!r} "
+                             f"(choose from {', '.join(extras['choices'])})")
     for dest, flag, _, _, extras in args.options:
         if kind is None or kind in extras.get("kinds", (kind,)):
             continue
@@ -308,8 +314,6 @@ def cmd_sweep(args) -> int:
 def cmd_importance(args) -> int:
     ns = _resolve(args)
     _require(ns, "model_file", "dataset")
-    if ns.method not in METHODS:
-        raise ValueError(f"unknown attribution method {ns.method!r}")
     tm = load(ns.model_file)
     dataset = fusion.read_dataset(ns.dataset)
     seed = ns.seed + SEED_OFFSETS["importance"]

@@ -43,7 +43,7 @@ from .ingest import (
     StationSeries,
     WeatherArchive,
     _MicrosByText,
-    _timestamp_texts,
+    _TextByMicros,
     epoch_years,
     to_micros,
     write_csv,
@@ -381,7 +381,8 @@ def write_dataset(dataset: Dataset, path) -> None:
     """Cache a dataset as CSV: the 14 canonical features plus label columns."""
     numbers = (map(repr, c.tolist()) for c in (*dataset.X.T, dataset.y))
     write_csv(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, zip(
-        *numbers, dataset.station_id.tolist(), _timestamp_texts(dataset.time),
+        *numbers, dataset.station_id.tolist(),
+        map(_TextByMicros().__getitem__, dataset.time.tolist()),
         map(repr, dataset.distance_km.tolist()),
     ))
 

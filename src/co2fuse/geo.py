@@ -15,7 +15,7 @@ import numpy as np
 EARTH_RADIUS_KM = 6371.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A point on the sphere, decimal degrees.
 

@@ -9,13 +9,17 @@ All inputs are UTF-8 CSV with a header row and RFC3339 timestamps:
                        t2m_k,skin_temperature_k,vint_temperature,tcwv_kgm2,cloud_base_height_m,
                        total_cloud_cover
 
-Readers are single-pass and never crash on arbitrary bytes: bad rows are
-counted and skipped (logged), and files that are mostly garbage raise
-CorruptInputError. The station catalog is the exception: it is small and
-foundational, so any invalid row there is a SchemaError.
+Readers take one csv.reader pass and never crash on arbitrary bytes: bad
+rows are counted and skipped (logged), and files that are mostly garbage
+raise CorruptInputError. The station catalog is the exception: it is small
+and foundational, so any invalid row there is a SchemaError. Each row is read
+as a tuple of its named fields, as csv.DictReader would read them (see
+`_rows`); the series and weather readers parse each distinct timestamp text
+once and append to typed arrays, so no per-row object outlives its row.
 
 Soundings and stations are lists of records; the station series and the
-weather are numpy columns (`StationSeries`, `WeatherArchive`).
+weather are numpy columns (`StationSeries`, `WeatherArchive`). The column
+writers format a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
@@ -64,7 +69,7 @@ WEATHER_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoundingRecord:
     """One satellite xCO2 retrieval."""
 
@@ -75,7 +80,7 @@ class SoundingRecord:
     quality_flag: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Station:
     """A ground station; station_id is unique within a catalog."""
 
@@ -159,12 +164,13 @@ def to_micros(times: list[datetime]) -> np.ndarray:
     return np.fromiter(((t - _EPOCH) // _MICROSECOND for t in times), np.int64, len(times))
 
 
-def _timestamp_texts(micros: np.ndarray) -> list[str]:
-    """format_timestamp of int64 UTC microsecond times, each distinct time
-    formatted once."""
-    micros = micros.tolist()
-    texts = {m: format_timestamp(_EPOCH + m * _MICROSECOND) for m in set(micros)}
-    return [texts[m] for m in micros]
+class _TextByMicros(dict):
+    """int UTC microseconds since 1970 -> format_timestamp text, each
+    distinct time formatted once."""
+
+    def __missing__(self, micros: int) -> str:
+        text = self[micros] = format_timestamp(_EPOCH + micros * _MICROSECOND)
+        return text
 
 
 class _MicrosByText(dict):
@@ -194,17 +200,31 @@ def _finite(x: float) -> float:
 
 
 def _rows(path, columns: tuple[str, ...]):
-    """Yield raw csv rows as dicts; header problems raise SchemaError."""
+    """Yield each csv row as a tuple of the named fields, in `columns` order;
+    header problems raise SchemaError.
+
+    Rows read as csv.DictReader reads them: the last of duplicate header
+    names wins, blank lines are skipped, extra fields are ignored and a short
+    row's missing fields read as "", which no field accepts."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            # a short row's missing fields read as "", which no field accepts
-            reader = csv.DictReader(fh, restval="")
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise SchemaError(f"{path}: empty file, header row required")
-            missing = [c for c in columns if c not in reader.fieldnames]
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in position]
             if missing:
                 raise SchemaError(f"{path}: missing required columns {missing}")
-            yield from reader
+            positions = [position[c] for c in columns]
+            fields = operator.itemgetter(*positions)
+            width = max(positions) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [""] * (width - len(row))
+                yield fields(row)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from exc
     except csv.Error as exc:
@@ -225,19 +245,19 @@ def read_soundings(path, quality_filter: bool = True) -> list[SoundingRecord]:
     quality_filter is set. Returns records sorted by time."""
     records = []
     total = malformed = dropped_quality = 0
-    for row in _rows(path, SOUNDING_COLUMNS):
+    for t_text, lat, lon, xco2_text, unc_text, flag_text in _rows(path, SOUNDING_COLUMNS):
         total += 1
         try:
-            t = parse_timestamp(row["time_utc"])
-            loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
-            xco2 = _finite(float(row["xco2_ppm"]))
-            unc = _finite(float(row["xco2_uncertainty_ppm"]))
-            flag = int(row["quality_flag"])
+            t = parse_timestamp(t_text)
+            loc = GeoPoint(float(lat), float(lon))
+            xco2 = _finite(float(xco2_text))
+            unc = _finite(float(unc_text))
+            flag = int(flag_text)
             if not (XCO2_PLAUSIBLE_PPM[0] < xco2 < XCO2_PLAUSIBLE_PPM[1]):
                 raise ValueError(f"xco2 {xco2} outside plausibility band")
             if unc < 0.0:
                 raise ValueError("negative uncertainty")
-        except (ValueError, TypeError, KeyError):
+        except ValueError:
             malformed += 1
             continue
         if quality_filter and flag != 0:
@@ -256,15 +276,15 @@ def read_station_catalog(path) -> list[Station]:
     SchemaError and duplicate ids are a DuplicateKeyError."""
     stations = []
     seen: set[str] = set()
-    for lineno, row in enumerate(_rows(path, STATION_COLUMNS), start=2):
+    for lineno, (sid, lat, lon, raw_elev) in enumerate(_rows(path, STATION_COLUMNS), start=2):
         try:
-            sid = row["station_id"].strip()
+            sid = sid.strip()
             if not sid:
                 raise ValueError("empty station_id")
-            loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
-            raw_elev = (row.get("elevation_m") or "").strip()
+            loc = GeoPoint(float(lat), float(lon))
+            raw_elev = raw_elev.strip()
             elev = _finite(float(raw_elev)) if raw_elev else None
-        except (ValueError, TypeError, KeyError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: invalid station row ({exc})") from exc
         if sid in seen:
             raise DuplicateKeyError(f"{path}: duplicate station_id {sid!r}")
@@ -280,17 +300,17 @@ def read_station_series(path) -> StationSeries:
     distinct: dict[str, str] = {}  # one str object per station id
     micros = _MicrosByText()
     total = malformed = 0
-    for row in _rows(path, SERIES_COLUMNS):
+    for sid, t_text, co2_text in _rows(path, SERIES_COLUMNS):
         total += 1
         try:
-            sid = row["station_id"].strip()
+            sid = sid.strip()
             if not sid:
                 raise ValueError("empty station_id")
-            t = micros[row["time_utc"]]
-            co2 = _finite(float(row["co2_ppm"]))
+            t = micros[t_text]
+            co2 = _finite(float(co2_text))
             if co2 <= 0.0:
                 raise ValueError("co2 must be positive")
-        except (ValueError, TypeError, KeyError):
+        except ValueError:
             malformed += 1
             continue
         sids.append(distinct.setdefault(sid, sid))
@@ -308,7 +328,7 @@ def read_station_series(path) -> StationSeries:
     if len(repeats):
         first = order[repeats].min()
         raise DuplicateKeyError(f"{path}: duplicate observation {sids[first]!r} @ "
-                                f"{_timestamp_texts(times[first:first + 1])[0]}")
+                                f"{_TextByMicros()[times[first]]}")
     _corrupt_gate(path, total, malformed, "series")
     return StationSeries(
         np.array(sids, dtype=object)[order], t, np.array(co2s, dtype=np.float64)[order]
@@ -332,37 +352,48 @@ def parse_weather_window(text: str) -> tuple[time, time]:
     return window
 
 
+def _day_micros(t: time) -> int:
+    return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
+
+
+_DAY_MICROS = 86_400_000_000
+
+
 def read_weather(path, window: tuple[time, time] = DEFAULT_WEATHER_WINDOW) -> WeatherArchive:
     """Read weather samples, dropping those outside the daily UTC window
     (default 09:00-15:00, both ends inclusive)."""
-    times, lats, lons, values = [], [], [], []
+    times, lats, lons, values = array("q"), array("d"), array("d"), array("d")
+    micros = _MicrosByText()
+    lo, hi = map(_day_micros, window)
     total = malformed = dropped_window = 0
-    for row in _rows(path, WEATHER_COLUMNS):
+    for t_text, lat, lon, *raw in _rows(path, WEATHER_COLUMNS):
         total += 1
         try:
-            t = parse_timestamp(row["time_utc"])
-            loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
-            fields = [_finite(float(row[c])) for c in WEATHER_COLUMNS[3:]]
+            t = micros[t_text]
+            loc = GeoPoint(float(lat), float(lon))
+            fields = list(map(float, raw))
+            if not all(map(math.isfinite, fields)):
+                raise ValueError("non-finite value")
             tcc = fields[-1]
             if not 0.0 <= tcc <= 1.0:
                 raise ValueError(f"total_cloud_cover {tcc} outside [0, 1]")
-        except (ValueError, TypeError, KeyError):
+        except ValueError:
             malformed += 1
             continue
-        if not window[0] <= t.time() <= window[1]:
+        if not lo <= t % _DAY_MICROS <= hi:
             dropped_window += 1
             continue
         times.append(t)
         lats.append(loc.latitude)
         lons.append(loc.longitude)
-        values.append(fields)
+        values.extend(fields)
     _corrupt_gate(path, total, malformed, "weather")
     if dropped_window:
         log.warning(
             "%s: dropped %d weather sample(s) outside the %s-%s UTC window",
             path, dropped_window, window[0].strftime("%H:%M"), window[1].strftime("%H:%M"),
         )
-    return WeatherArchive(to_micros(times), lats, lons, values)
+    return WeatherArchive(times, lats, lons, values)
 
 
 def _fmt(x: float) -> str:
@@ -393,21 +424,39 @@ def write_station_catalog(stations: Iterable[Station], path) -> None:
     ))
 
 
+# rows formatted at a time by the column writers, so that only one block's
+# texts are alive
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _in_blocks(n: int, rows_of):
+    """The rows of `rows_of(block)` for consecutive row slices of range(n)."""
+    for start in range(0, n, _WRITE_BLOCK_ROWS):
+        yield from rows_of(slice(start, start + _WRITE_BLOCK_ROWS))
+
+
 def write_station_series(series: StationSeries, path) -> None:
     """Write the series rows in their order."""
-    write_csv(path, SERIES_COLUMNS, zip(
-        series.station_id.tolist(), _timestamp_texts(series.time), map(repr, series.co2.tolist())
-    ))
+    texts = _TextByMicros()
+    write_csv(path, SERIES_COLUMNS, _in_blocks(len(series), lambda block: zip(
+        series.station_id[block].tolist(), map(texts.__getitem__, series.time[block].tolist()),
+        map(repr, series.co2[block].tolist()),
+    )))
 
 
 def write_weather(archive: WeatherArchive, path) -> None:
     """Write the archive's samples in (time, latitude, longitude) order,
     equal keys in input order."""
     order = np.lexsort((archive.longitudes, archive.latitudes, archive.times))
-    columns = [archive.latitudes[order], archive.longitudes[order], *archive.values[order].T]
-    write_csv(path, WEATHER_COLUMNS, zip(
-        _timestamp_texts(archive.times[order]), *(map(repr, c.tolist()) for c in columns)
-    ))
+    texts = _TextByMicros()
+
+    def rows_of(block):
+        rows = order[block]
+        columns = (archive.latitudes[rows], archive.longitudes[rows], *archive.values[rows].T)
+        return zip(map(texts.__getitem__, archive.times[rows].tolist()),
+                   *(map(repr, c.tolist()) for c in columns))
+
+    write_csv(path, WEATHER_COLUMNS, _in_blocks(len(order), rows_of))
 
 
 __all__ = [

@@ -11,19 +11,31 @@ they measure every distance with the library's own haversine kernel and take
 grid statistics from its Grid. ``mlp_predict_unblocked`` and
 ``shapley_row_by_gathers`` likewise pin the bits of the blocked MLP forward
 pass and the strided Shapley sums: they keep the arithmetic of the one-shot
-pass and of the index-gather loop that those replaced. The last section holds small helpers that only
-the tests need (point columns, tree depth, the synthetic truth at one point,
-the calendar time of one datetime); they call into the package.
+pass and of the index-gather loop that those replaced. The
+``reference_read_*`` readers are the csv.DictReader readers that the
+one-pass readers replaced; they parse with the package's timestamp parser
+and GeoPoint, so they pin the readers' results, log lines and errors. The
+last section holds small helpers that only the tests need (point columns,
+tree depth, the synthetic truth at one point, the calendar time of one
+datetime); they call into the package.
 """
 
 import bisect
+import csv
+import logging
 import math
 from datetime import datetime, timezone
 
 import numpy as np
 
 from co2fuse import ingest, synth
-from co2fuse.errors import NoDataError, StaleWeatherError
+from co2fuse.errors import (
+    CorruptInputError,
+    DuplicateKeyError,
+    NoDataError,
+    SchemaError,
+    StaleWeatherError,
+)
 from co2fuse.geo import GeoPoint, cell_centers, geodesic_km_many
 from co2fuse.interpolate import Grid, PointSet
 
@@ -321,6 +333,167 @@ def shapley_row_by_gathers(predict_fn, x, mu):
         partner = without + (1 << i)
         phi[i] = float(np.sum(w_by_size[sizes[without]] * (v[partner] - v[without])))
     return phi
+
+
+# ------------------------------------------------- csv.DictReader readers
+
+_reader_log = logging.getLogger("co2fuse.ingest")
+
+
+def _reference_rows(path, columns):
+    """Raw csv rows as dicts; header problems raise SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            # a short row's missing fields read as "", which no field accepts
+            reader = csv.DictReader(fh, restval="")
+            if reader.fieldnames is None:
+                raise SchemaError(f"{path}: empty file, header row required")
+            missing = [c for c in columns if c not in reader.fieldnames]
+            if missing:
+                raise SchemaError(f"{path}: missing required columns {missing}")
+            yield from reader
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from exc
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: CSV parse failure ({exc})") from exc
+
+
+def _reference_finite(x):
+    if not math.isfinite(x):
+        raise ValueError("non-finite value")
+    return x
+
+
+def _reference_gate(path, total, malformed, what):
+    if malformed > 0:
+        _reader_log.warning("%s: skipped %d malformed %s row(s) of %d",
+                            path, malformed, what, total)
+    if total > 0 and malformed * 2 > total:
+        raise CorruptInputError(
+            f"{path}: {malformed} of {total} {what} rows malformed (> 50%)"
+        )
+
+
+def reference_read_soundings(path, quality_filter=True):
+    """ingest.read_soundings on one DictReader dict per row."""
+    records = []
+    total = malformed = dropped_quality = 0
+    for row in _reference_rows(path, ingest.SOUNDING_COLUMNS):
+        total += 1
+        try:
+            t = ingest.parse_timestamp(row["time_utc"])
+            loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
+            xco2 = _reference_finite(float(row["xco2_ppm"]))
+            unc = _reference_finite(float(row["xco2_uncertainty_ppm"]))
+            flag = int(row["quality_flag"])
+            if not (ingest.XCO2_PLAUSIBLE_PPM[0] < xco2 < ingest.XCO2_PLAUSIBLE_PPM[1]):
+                raise ValueError(f"xco2 {xco2} outside plausibility band")
+            if unc < 0.0:
+                raise ValueError("negative uncertainty")
+        except (ValueError, TypeError, KeyError):
+            malformed += 1
+            continue
+        if quality_filter and flag != 0:
+            dropped_quality += 1
+            continue
+        records.append(ingest.SoundingRecord(t, loc, xco2, unc, flag))
+    _reference_gate(path, total, malformed, "sounding")
+    if dropped_quality:
+        _reader_log.info("%s: dropped %d sounding(s) failing the quality flag",
+                         path, dropped_quality)
+    records.sort(key=lambda r: r.time)
+    return records
+
+
+def reference_read_station_catalog(path):
+    """ingest.read_station_catalog on one DictReader dict per row."""
+    stations = []
+    seen = set()
+    for lineno, row in enumerate(_reference_rows(path, ingest.STATION_COLUMNS), start=2):
+        try:
+            sid = row["station_id"].strip()
+            if not sid:
+                raise ValueError("empty station_id")
+            loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
+            raw_elev = (row.get("elevation_m") or "").strip()
+            elev = _reference_finite(float(raw_elev)) if raw_elev else None
+        except (ValueError, TypeError, KeyError) as exc:
+            raise SchemaError(f"{path}:{lineno}: invalid station row ({exc})") from exc
+        if sid in seen:
+            raise DuplicateKeyError(f"{path}: duplicate station_id {sid!r}")
+        seen.add(sid)
+        stations.append(ingest.Station(sid, loc, elev))
+    return stations
+
+
+def reference_read_station_series(path):
+    """ingest.read_station_series on one DictReader dict and one datetime
+    per row, with a (station_id, datetime) set for the duplicates."""
+    rows = []
+    seen = set()
+    first_repeat = None
+    total = malformed = 0
+    for row in _reference_rows(path, ingest.SERIES_COLUMNS):
+        total += 1
+        try:
+            sid = row["station_id"].strip()
+            if not sid:
+                raise ValueError("empty station_id")
+            t = ingest.parse_timestamp(row["time_utc"])
+            co2 = _reference_finite(float(row["co2_ppm"]))
+            if co2 <= 0.0:
+                raise ValueError("co2 must be positive")
+        except (ValueError, TypeError, KeyError):
+            malformed += 1
+            continue
+        if (sid, t) in seen and first_repeat is None:
+            first_repeat = (sid, t)
+        seen.add((sid, t))
+        rows.append((sid, t, co2))
+    if first_repeat is not None:
+        sid, t = first_repeat
+        raise DuplicateKeyError(
+            f"{path}: duplicate observation {sid!r} @ {ingest.format_timestamp(t)}")
+    _reference_gate(path, total, malformed, "series")
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return ingest.StationSeries(
+        np.array([r[0] for r in rows], dtype=object),
+        ingest.to_micros([r[1] for r in rows]),
+        np.array([r[2] for r in rows], dtype=np.float64),
+    )
+
+
+def reference_read_weather(path, window=ingest.DEFAULT_WEATHER_WINDOW):
+    """ingest.read_weather on one DictReader dict, one datetime and one list
+    of fields per row, windowed on datetime.time()."""
+    times, lats, lons, values = [], [], [], []
+    total = malformed = dropped_window = 0
+    for row in _reference_rows(path, ingest.WEATHER_COLUMNS):
+        total += 1
+        try:
+            t = ingest.parse_timestamp(row["time_utc"])
+            loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
+            fields = [_reference_finite(float(row[c])) for c in ingest.WEATHER_COLUMNS[3:]]
+            tcc = fields[-1]
+            if not 0.0 <= tcc <= 1.0:
+                raise ValueError(f"total_cloud_cover {tcc} outside [0, 1]")
+        except (ValueError, TypeError, KeyError):
+            malformed += 1
+            continue
+        if not window[0] <= t.time() <= window[1]:
+            dropped_window += 1
+            continue
+        times.append(t)
+        lats.append(loc.latitude)
+        lons.append(loc.longitude)
+        values.append(fields)
+    _reference_gate(path, total, malformed, "weather")
+    if dropped_window:
+        _reader_log.warning(
+            "%s: dropped %d weather sample(s) outside the %s-%s UTC window",
+            path, dropped_window, window[0].strftime("%H:%M"), window[1].strftime("%H:%M"),
+        )
+    return ingest.WeatherArchive(ingest.to_micros(times), lats, lons, values)
 
 
 # ------------------------------------------------------- test-only helpers

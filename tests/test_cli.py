@@ -810,6 +810,20 @@ def test_config_choice_is_not_checked_by_the_parser(workdir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, config, named", [
+    ("train", "model = forest\nepochs = 5\n", "--model: invalid choice 'forest'"),
+    ("importance", "method = lime\nrows = 5\n", "--method: invalid choice 'lime'"),
+])
+def test_unknown_config_selector_is_named_before_its_options(tmp_path, capsys, command,
+                                                             config, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert run(command, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "is not read by" not in err
+
+
 @pytest.mark.parametrize("command", sorted(DEFAULTS))
 def test_command_help_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exc:

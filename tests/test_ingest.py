@@ -1,5 +1,9 @@
+import csv
+import io
+import logging
 import sys
-from datetime import datetime, time, timezone
+import tracemalloc
+from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from co2fuse.errors import (
 )
 from co2fuse.geo import GeoPoint
 
+import oracles
 from oracles import to_epoch_years
 
 UTC = timezone.utc
@@ -346,3 +351,194 @@ def test_timestamp_round_trip():
     assert ingest.parse_timestamp(ingest.format_timestamp(t)) == t
     with pytest.raises(ValueError):
         ingest.parse_timestamp("2020-01-01T00:00:00")  # no offset
+
+
+# ------------------------------------------------ readers against DictReader
+
+FLOAT_TEXTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["", " 1.5 ", "1_000", "nan", "-inf", "1e999", "x", "0x10", "-0.0"]),
+)
+EDGE_TIMES = [
+    "2020-06-01T09:00:00Z", "2020-06-01T15:00:00Z", "2020-06-01T15:00:01Z",
+    "2020-06-01T08:59:59Z", "2020-06-01T15:00:00.999999Z", "2020-06-01T12:00:00z",
+    "2020-06-01T17:00:00+02:00", "2020-06-01T04:00:00-05:00", "1969-12-31T09:00:00Z",
+    "1969-12-31T15:00:01Z", "1901-03-01T15:00:00+00:00",
+]
+BAD_TIMES = ["2020-06-01T12:00:00", "not-a-time", "", *OUT_OF_RANGE_TIMES]
+OFFSETS = st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m)))
+TIME_TEXTS = st.one_of(
+    st.sampled_from(EDGE_TIMES + BAD_TIMES),
+    st.datetimes(timezones=OFFSETS).map(datetime.isoformat),
+)
+STATION_IDS = st.sampled_from(["A", "B", " A", "AB", "ST01", ""])
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# the texts of each column in a clean row; other columns read any float
+CLEAN = {
+    "time_utc": st.sampled_from(EDGE_TIMES),
+    "latitude_deg": _floats(-95.0, 95.0),
+    "longitude_deg": _floats(-400.0, 400.0),
+    "xco2_ppm": _floats(295.0, 605.0),
+    "xco2_uncertainty_ppm": _floats(-0.1, 3.0),
+    "quality_flag": st.integers(-1, 2).map(str),
+    "elevation_m": st.one_of(st.just(""), _floats(-10.0, 3000.0)),
+    "co2_ppm": _floats(-1.0, 500.0),
+    "total_cloud_cover": _floats(-0.1, 1.1),
+}
+READERS = {
+    "soundings": (ingest.read_soundings, oracles.reference_read_soundings,
+                  ingest.SOUNDING_COLUMNS,
+                  st.fixed_dictionaries({"quality_filter": st.booleans()})),
+    "catalog": (ingest.read_station_catalog, oracles.reference_read_station_catalog,
+                ingest.STATION_COLUMNS, st.just({})),
+    "series": (ingest.read_station_series, oracles.reference_read_station_series,
+               ingest.SERIES_COLUMNS, st.just({})),
+    "weather": (ingest.read_weather, oracles.reference_read_weather, ingest.WEATHER_COLUMNS,
+                st.fixed_dictionaries({"window": st.one_of(
+                    st.just(ingest.DEFAULT_WEATHER_WINDOW),
+                    st.just((time(15, 0), time(15, 0))),
+                    st.just((time(9, 0, 0, 1), time(14, 59, 59, 999_999))),
+                    st.just((time(8, 59, 59), time(15, 0, 1))),
+                    st.tuples(st.times(), st.times()),
+                )})),
+}
+
+
+@st.composite
+def messy_csv(draw, columns, extra_ids=()):
+    """CSV text with the required columns reordered, some repeated and some
+    extra ones; blank, short, long and messy rows; CRLF or LF; all fields
+    quoted or only those that need it."""
+    header = draw(st.permutations(columns))
+    for name in draw(st.lists(st.sampled_from([*columns, "note", "extra"]), max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    ids = st.one_of(STATION_IDS, st.sampled_from(extra_ids)) if extra_ids else STATION_IDS
+    clean = {**CLEAN, "station_id": ids}
+    # a messy row's other fields may also be any float text
+    messy = {"time_utc": TIME_TEXTS,
+             "station_id": st.one_of(ids, st.text(",\"\r\n AB", max_size=4))}
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["clean", "clean", "messy", "blank", "short", "long"]))
+        if shape == "blank":
+            rows.append([])
+            continue
+        row = []
+        for name in header:
+            strategy = clean.get(name, _floats(-1e6, 1e7))
+            if shape == "messy":
+                strategy = messy.get(name, st.one_of(strategy, FLOAT_TEXTS))
+            row.append(draw(strategy))
+        if shape == "short":
+            row = row[:draw(st.integers(1, len(row)))]
+        elif shape == "long":
+            row += draw(st.lists(FLOAT_TEXTS, min_size=1, max_size=2))
+        rows.append(row)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\r\n", "\n"])),
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _fingerprint(result):
+    """The returned records or columns, bit for bit."""
+    if isinstance(result, list):
+        return repr(result)
+    return [(name, value.dtype.str, value.shape,
+             value.tolist() if value.dtype == object else value.tobytes())
+            for name, value in sorted(vars(result).items())]
+
+
+def _outcome(reader, path, kwargs, caplog):
+    """(result or exception, log lines) of one read."""
+    caplog.clear()
+    try:
+        result = _fingerprint(reader(path, **kwargs))
+    except Exception as exc:  # the type and message are compared
+        result = (type(exc), str(exc))
+    return result, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def _assert_reads_like_dictreader(name, path, kwargs, caplog):
+    reader, reference, _, _ = READERS[name]
+    caplog.set_level(logging.INFO, logger="co2fuse.ingest")
+    assert _outcome(reader, path, kwargs, caplog) == _outcome(reference, path, kwargs, caplog)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_readers_match_dictreader_on_messy_csv(tmp_path, caplog, name, data):
+    columns, kwargs = READERS[name][2], data.draw(READERS[name][3])
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(data.draw(messy_csv(columns)).encode("utf-8"))
+    _assert_reads_like_dictreader(name, path, kwargs, caplog)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.binary(max_size=300))
+def test_readers_match_dictreader_on_bytes(tmp_path, caplog, name, content):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(content)
+    _assert_reads_like_dictreader(name, path, {}, caplog)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from Python 3.11")
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_readers_match_dictreader_with_nul(tmp_path, caplog, name, data):
+    columns = READERS[name][2]
+    path = tmp_path / f"{name}.csv"
+    text = data.draw(messy_csv(columns, extra_ids=("A\x00", "\x00", "B\x00\x00")))
+    path.write_bytes(text.encode("utf-8"))
+    _assert_reads_like_dictreader(name, path, {}, caplog)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("text", [
+    "", "\n", "\r\n\r\n", "a,b\n", "﻿" + ",".join(ingest.WEATHER_COLUMNS) + "\n",
+])
+def test_readers_match_dictreader_on_headers(tmp_path, caplog, name, text):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text, encoding="utf-8")
+    _assert_reads_like_dictreader(name, path, {}, caplog)
+
+
+def test_read_weather_peak_is_under_three_times_its_columns(tmp_path):
+    # 63 nodes x 45 days x hours 08-16: the two hours outside 09:00-15:00 drop
+    nodes, days, hours = 63, 45, np.arange(8, 17)
+    hour_us = 3_600_000_000
+    t0 = ingest.to_micros([datetime(2020, 6, 1, tzinfo=UTC)])[0]
+    times = (t0 + (np.arange(days)[:, None] * 24 + hours) * hour_us).ravel()
+    n = len(times) * nodes
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.0, 1.0, size=(n, 9))
+    archive = ingest.WeatherArchive(
+        np.repeat(times, nodes), np.tile(np.linspace(50.0, 60.0, nodes), len(times)),
+        np.tile(np.linspace(5.0, 20.0, nodes), len(times)), values,
+    )
+    path = tmp_path / "w.csv"
+    ingest.write_weather(archive, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = ingest.read_weather(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(back) == days * 7 * nodes
+    kept = sum(a.nbytes for a in (back.times, back.latitudes, back.longitudes, back.values))
+    assert peak < 3 * kept
