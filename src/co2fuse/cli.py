@@ -34,7 +34,6 @@ from .geo import BoundingBox, GridSpec
 from .importance import (
     DEFAULT_REPEATS,
     DEFAULT_SHAPLEY_ROWS,
-    REPORT_CSV_HEADER,
     bar_summary,
     permutation_importance,
     shapley_attribution,
@@ -321,12 +320,8 @@ def cmd_importance(args) -> int:
         report = shapley_attribution(tm, dataset.X, dataset.X, seed=seed, max_rows=ns.rows)
     else:
         report = permutation_importance(tm, (dataset.X, dataset.y), repeats=ns.repeats, seed=seed)
-    if ns.out:
-        write_report_csv(report, ns.out)
-    else:
-        print(REPORT_CSV_HEADER)
-        for e in report.entries:
-            print(f"{e.feature},{e.value!r},{e.rank},{report.method}")
+    with _output(ns.out) as stream:
+        write_report_csv(report, stream)
     print(bar_summary(report), file=sys.stderr)
     return 0
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -232,11 +232,10 @@ def permutation_importance(
     return _ranked("permutation", base, FEATURE_NAMES, deltas)
 
 
-def write_report_csv(report: AttributionReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        for e in report.entries:
-            fh.write(f"{e.feature},{e.value!r},{e.rank},{report.method}\n")
+def write_report_csv(report: AttributionReport, stream: TextIO) -> None:
+    print(REPORT_CSV_HEADER, file=stream)
+    for e in report.entries:
+        print(f"{e.feature},{e.value!r},{e.rank},{report.method}", file=stream)
 
 
 def bar_summary(report: AttributionReport, width: int = 40) -> str:

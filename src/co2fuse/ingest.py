@@ -200,8 +200,9 @@ def _finite(x: float) -> float:
 
 
 def _rows(path, columns: tuple[str, ...]):
-    """Yield each csv row as a tuple of the named fields, in `columns` order;
-    header problems raise SchemaError.
+    """Yield (line, fields) for each csv row: the file line that the row ends
+    on, and a tuple of the named fields in `columns` order; header problems
+    raise SchemaError.
 
     Rows read as csv.DictReader reads them: the last of duplicate header
     names wins, blank lines are skipped, extra fields are ignored and a short
@@ -224,7 +225,7 @@ def _rows(path, columns: tuple[str, ...]):
                     if not row:
                         continue
                     row += [""] * (width - len(row))
-                yield fields(row)
+                yield reader.line_num, fields(row)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from exc
     except csv.Error as exc:
@@ -245,7 +246,7 @@ def read_soundings(path, quality_filter: bool = True) -> list[SoundingRecord]:
     quality_filter is set. Returns records sorted by time."""
     records = []
     total = malformed = dropped_quality = 0
-    for t_text, lat, lon, xco2_text, unc_text, flag_text in _rows(path, SOUNDING_COLUMNS):
+    for _, (t_text, lat, lon, xco2_text, unc_text, flag_text) in _rows(path, SOUNDING_COLUMNS):
         total += 1
         try:
             t = parse_timestamp(t_text)
@@ -276,7 +277,7 @@ def read_station_catalog(path) -> list[Station]:
     SchemaError and duplicate ids are a DuplicateKeyError."""
     stations = []
     seen: set[str] = set()
-    for lineno, (sid, lat, lon, raw_elev) in enumerate(_rows(path, STATION_COLUMNS), start=2):
+    for lineno, (sid, lat, lon, raw_elev) in _rows(path, STATION_COLUMNS):
         try:
             sid = sid.strip()
             if not sid:
@@ -300,7 +301,7 @@ def read_station_series(path) -> StationSeries:
     distinct: dict[str, str] = {}  # one str object per station id
     micros = _MicrosByText()
     total = malformed = 0
-    for sid, t_text, co2_text in _rows(path, SERIES_COLUMNS):
+    for _, (sid, t_text, co2_text) in _rows(path, SERIES_COLUMNS):
         total += 1
         try:
             sid = sid.strip()
@@ -366,7 +367,7 @@ def read_weather(path, window: tuple[time, time] = DEFAULT_WEATHER_WINDOW) -> We
     micros = _MicrosByText()
     lo, hi = map(_day_micros, window)
     total = malformed = dropped_window = 0
-    for t_text, lat, lon, *raw in _rows(path, WEATHER_COLUMNS):
+    for _, (t_text, lat, lon, *raw) in _rows(path, WEATHER_COLUMNS):
         total += 1
         try:
             t = micros[t_text]

@@ -8,10 +8,9 @@ and a single linear output node. The training loss is
 with biases excluded from the penalty. Optimization is mini-batch gradient
 descent with classical momentum; everything is seeded and deterministic.
 The gradients are exposed separately so they can be checked against finite
-differences. Prediction runs the forward pass over blocks of _BLOCK_ROWS
-rows, with the same bits as one pass over the whole batch (see the note at
-the constant), so a 2^14-row Shapley batch never holds its activations at
-once; training keeps every activation of its mini-batch for backprop.
+differences. Prediction and the per-epoch loss run forward over blocks of
+_BLOCK_ROWS rows, with the same bits as one pass over all rows (see the note
+at the constant); training keeps only the activations of its mini-batch.
 """
 
 from __future__ import annotations
@@ -85,37 +84,34 @@ class MlpModel:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Network output plus the post-activation of every layer (input first)."""
+        """Network output plus the post-activation of every layer (input first).
+        The in-place bias and ReLU round as h @ w + b and np.maximum(z, 0) do."""
         activations = [X]
         h = X
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if i == last else np.maximum(z, 0.0)
+            h = h @ w
+            h += b
+            if i != last:
+                np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h[:, 0], activations
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """The arithmetic of forward, _BLOCK_ROWS rows at a time, with the
-        bias and ReLU applied in place and no activations kept."""
+        """forward over _BLOCK_ROWS rows at a time, standardizing each block
+        first when the model has stats."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         n = X.shape[0]
         out = np.empty(n)
-        last = len(self.weights) - 1
         start = 0
         while start < n:
             stop = start + _BLOCK_ROWS
             if stop + 1 >= n:  # the last block, with a one-row tail joined to it
                 stop = n
-            h = X[start:stop]
+            block = X[start:stop]
             if self.norm is not None:
-                h = standardize(h, self.norm)
-            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                h = h @ w
-                h += b
-                if i != last:
-                    np.maximum(h, 0.0, out=h)
-            out[start:stop] = h[:, 0]
+                block = standardize(block, self.norm)
+            out[start:stop] = self.forward(block)[0]
             start = stop
         return out
 
@@ -156,24 +152,23 @@ def loss_and_gradients(
     reg_loss = model.l2_lambda * sum(float(np.sum(w**2)) for w in model.weights)
     loss = data_loss + reg_loss
 
-    weight_grads = [np.empty_like(w) for w in model.weights]
-    bias_grads = [np.empty_like(b) for b in model.biases]
+    weight_grads, bias_grads = [], []
     # dL/d(output), column vector
     delta = (2.0 / n) * err[:, None]
     for i in reversed(range(len(model.weights))):
-        a_in = acts[i]
-        weight_grads[i] = a_in.T @ delta + 2.0 * model.l2_lambda * model.weights[i]
-        bias_grads[i] = delta.sum(axis=0)
+        weight_grads.insert(0, acts[i].T @ delta + 2.0 * model.l2_lambda * model.weights[i])
+        bias_grads.insert(0, delta.sum(axis=0))
         if i > 0:
             delta = delta @ model.weights[i].T
-            delta = delta * (acts[i] > 0.0)  # ReLU gate of the upstream layer
+            delta *= acts[i] > 0.0  # ReLU gate of the upstream layer
     return loss, weight_grads, bias_grads
 
 
 def full_loss(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
-    pred, _ = model.forward(X)
+    """Regularized loss over all rows, from predict_batch, which standardizes
+    X when the model has stats."""
     reg = model.l2_lambda * sum(float(np.sum(w**2)) for w in model.weights)
-    return float(np.mean((pred - y) ** 2)) + reg
+    return float(np.mean((model.predict_batch(X) - y) ** 2)) + reg
 
 
 def train_mlp(
@@ -191,9 +186,8 @@ def train_mlp(
         raise EmptyDatasetError("cannot train the MLP on an empty set")
     rng = np.random.default_rng(cfg.seed)
     model = init_mlp(X.shape[1], cfg, rng, output_bias=float(y.mean()))
-    model.norm = norm
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    velocity = [np.zeros_like(p) for p in params]
     n = X.shape[0]
     # a diverging fit overflows before its loss turns non-finite; the typed
     # error below reports it, not numpy's floating-point warnings
@@ -203,13 +197,15 @@ def train_mlp(
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 _, gw, gb = loss_and_gradients(model, X[batch], y[batch])
-                for i in range(len(model.weights)):
-                    vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * gw[i]
-                    vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
-                    model.weights[i] += vel_w[i]
-                    model.biases[i] += vel_b[i]
+                # rounds as v = momentum * v - lr * g does
+                for p, v, g in zip(params, velocity, gw + gb):
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * g
+                    p += v
+            # X is standardized already, so the stats go on after the last epoch
             epoch_loss = full_loss(model, X, y)
             if not np.isfinite(epoch_loss):
                 raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
             model.loss_trace.append(epoch_loss)
+    model.norm = norm
     return model

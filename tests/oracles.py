@@ -11,7 +11,9 @@ they measure every distance with the library's own haversine kernel and take
 grid statistics from its Grid. ``mlp_predict_unblocked`` and
 ``shapley_row_by_gathers`` likewise pin the bits of the blocked MLP forward
 pass and the strided Shapley sums: they keep the arithmetic of the one-shot
-pass and of the index-gather loop that those replaced. The
+pass and of the index-gather loop that those replaced. ``reference_train_mlp``
+pins the trainer's weights and loss trace with the unblocked forward pass,
+per-array velocities and allocating updates that the trainer replaced. The
 ``reference_read_*`` readers are the csv.DictReader readers that the
 one-pass readers replaced; they parse with the package's timestamp parser
 and GeoPoint, so they pin the readers' results, log lines and errors. The
@@ -35,6 +37,7 @@ from co2fuse.errors import (
     NoDataError,
     SchemaError,
     StaleWeatherError,
+    TrainingDivergedError,
 )
 from co2fuse.geo import GeoPoint, cell_centers, geodesic_km_many
 from co2fuse.interpolate import Grid, PointSet
@@ -299,7 +302,7 @@ def reference_epoch_years(dt):
     return dt.year + (dt - start) / (end - start)
 
 
-# ------------------------------------------ MLP prediction and Shapley sums
+# ------------------------------ MLP prediction, training and Shapley sums
 
 
 def mlp_predict_unblocked(model, X):
@@ -315,6 +318,56 @@ def mlp_predict_unblocked(model, X):
         if i != last:
             np.maximum(h, 0.0, out=h)
     return h[:, 0]
+
+
+def reference_train_mlp(X, y, cfg):
+    """mlp.train_mlp as one pass per layer allocating z = h @ w + b, with one
+    velocity list per parameter kind, v = momentum * v - lr * g, and the
+    per-epoch loss from one unblocked pass over all rows. Returns (weights,
+    biases, loss_trace); raises TrainingDivergedError as train_mlp does."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    sizes = [X.shape[1], *cfg.hidden_sizes, 1]
+    weights = [rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)) for a, b in zip(sizes, sizes[1:])]
+    biases = [np.zeros(b) for b in sizes[1:]]
+    biases[-1][0] = float(y.mean())
+
+    def forward(A):
+        acts = [A]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            z = acts[-1] @ w + b
+            acts.append(z if i == len(weights) - 1 else np.maximum(z, 0.0))
+        return acts[-1][:, 0], acts
+
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    loss_trace = []
+    n = X.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                pred, acts = forward(X[batch])
+                delta = (2.0 / len(batch)) * (pred - y[batch])[:, None]
+                gw, gb = [None] * len(weights), [None] * len(weights)
+                for i in reversed(range(len(weights))):
+                    gw[i] = acts[i].T @ delta + 2.0 * cfg.l2_lambda * weights[i]
+                    gb[i] = delta.sum(axis=0)
+                    if i > 0:
+                        delta = (delta @ weights[i].T) * (acts[i] > 0.0)
+                for i in range(len(weights)):
+                    vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * gw[i]
+                    vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
+                    weights[i] += vel_w[i]
+                    biases[i] += vel_b[i]
+            reg = cfg.l2_lambda * sum(float(np.sum(w**2)) for w in weights)
+            loss = float(np.mean((forward(X)[0] - y) ** 2)) + reg
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
+            loss_trace.append(loss)
+    return weights, biases, loss_trace
 
 
 def shapley_row_by_gathers(predict_fn, x, mu):
@@ -341,7 +394,8 @@ _reader_log = logging.getLogger("co2fuse.ingest")
 
 
 def _reference_rows(path, columns):
-    """Raw csv rows as dicts; header problems raise SchemaError."""
+    """(line, row) for each csv row: the file line that DictReader ended the
+    row on, and the row as a dict; header problems raise SchemaError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             # a short row's missing fields read as "", which no field accepts
@@ -351,7 +405,8 @@ def _reference_rows(path, columns):
             missing = [c for c in columns if c not in reader.fieldnames]
             if missing:
                 raise SchemaError(f"{path}: missing required columns {missing}")
-            yield from reader
+            for row in reader:
+                yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from exc
     except csv.Error as exc:
@@ -378,7 +433,7 @@ def reference_read_soundings(path, quality_filter=True):
     """ingest.read_soundings on one DictReader dict per row."""
     records = []
     total = malformed = dropped_quality = 0
-    for row in _reference_rows(path, ingest.SOUNDING_COLUMNS):
+    for _, row in _reference_rows(path, ingest.SOUNDING_COLUMNS):
         total += 1
         try:
             t = ingest.parse_timestamp(row["time_utc"])
@@ -409,7 +464,7 @@ def reference_read_station_catalog(path):
     """ingest.read_station_catalog on one DictReader dict per row."""
     stations = []
     seen = set()
-    for lineno, row in enumerate(_reference_rows(path, ingest.STATION_COLUMNS), start=2):
+    for lineno, row in _reference_rows(path, ingest.STATION_COLUMNS):
         try:
             sid = row["station_id"].strip()
             if not sid:
@@ -433,7 +488,7 @@ def reference_read_station_series(path):
     seen = set()
     first_repeat = None
     total = malformed = 0
-    for row in _reference_rows(path, ingest.SERIES_COLUMNS):
+    for _, row in _reference_rows(path, ingest.SERIES_COLUMNS):
         total += 1
         try:
             sid = row["station_id"].strip()
@@ -468,7 +523,7 @@ def reference_read_weather(path, window=ingest.DEFAULT_WEATHER_WINDOW):
     of fields per row, windowed on datetime.time()."""
     times, lats, lons, values = [], [], [], []
     total = malformed = dropped_window = 0
-    for row in _reference_rows(path, ingest.WEATHER_COLUMNS):
+    for _, row in _reference_rows(path, ingest.WEATHER_COLUMNS):
         total += 1
         try:
             t = ingest.parse_timestamp(row["time_utc"])

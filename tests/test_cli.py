@@ -349,6 +349,16 @@ def test_importance_ranks_copied_feature_first(workdir, tmp_path, capsys):
     assert lines[1].split(",")[0] == "xco2"
 
 
+def test_importance_report_on_stdout_matches_the_out_file(workdir, tmp_path, capsys):
+    common = ("importance", "--model-file", str(workdir / "gbt.model"),
+              "--dataset", str(workdir / "dataset.csv"), "--rows", "4")
+    assert run(*common) == 0
+    stdout = capsys.readouterr().out
+    assert run(*common, "--out", str(tmp_path / "imp.csv")) == 0
+    assert (tmp_path / "imp.csv").read_bytes() == stdout.encode()
+    assert stdout.startswith("feature,mean_abs_attribution_ppm,rank,method\n")
+
+
 def test_config_file_supplies_and_flags_override(small_campaign_dir, tmp_path):
     camp = small_campaign_dir
     cfg = tmp_path / "run.cfg"

@@ -239,7 +239,8 @@ def test_report_csv_format(tmp_path):
     X = rng.normal(415, 5, size=(20, 14))
     report = shapley_attribution(tm, X, X)
     path = tmp_path / "imp.csv"
-    write_report_csv(report, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_report_csv(report, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "feature,mean_abs_attribution_ppm,rank,method"
     assert len(lines) == 15

@@ -116,6 +116,15 @@ def test_catalog_bad_latitude_is_schema_error(tmp_path):
         ingest.read_station_catalog(path)
 
 
+def test_catalog_error_names_the_file_line_of_the_bad_row(tmp_path):
+    # a blank line 3 and a quoted two-line id on lines 4-5 put the third row on line 6
+    text = ('station_id,latitude_deg,longitude_deg,elevation_m\nA,55,13,10\n\n'
+            '"B\nB",56,14,\nC,95,13,10\n')
+    path = write(tmp_path, "cat.csv", text)
+    with pytest.raises(SchemaError, match=r"cat\.csv:6: invalid station row"):
+        ingest.read_station_catalog(path)
+
+
 def test_catalog_optional_elevation(tmp_path):
     text = "station_id,latitude_deg,longitude_deg,elevation_m\nA,55,13,\n"
     stations = ingest.read_station_catalog(write(tmp_path, "st.csv", text))
