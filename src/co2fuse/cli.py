@@ -2,9 +2,10 @@
 
 Subcommands: build-dataset, train, evaluate, predict-grid, sweep,
 importance, synth. Each command's options are declared once, in COMMANDS:
-flag, cast, default and any argparse extras. Every flag is also a key of a
-line-oriented config file (`key = value`, `#` comments, keys spelled like
-the long flags, with `-` or `_`); explicit flags win over config values,
+flag, cast, default, whether it is required and any argparse extras. Every
+flag is also a key of a line-oriented config file (`key = value`, `#`
+comments, keys spelled like the long flags, with `-` or `_`); a required
+option may come from either. Explicit flags win over config values,
 config values over the defaults, and unknown config keys are errors. A bad
 flag value is a usage error (64), a bad config value a bad input (2). train
 and importance refuse, in the same way, an option that their --model kind
@@ -44,7 +45,6 @@ from .models import (
     GbtConfig,
     MlpConfig,
     MODEL_KINDS,
-    TrainedModel,
     load,
     predict_batch,
     save,
@@ -153,10 +153,11 @@ def _resolve(args) -> SimpleNamespace:
     return SimpleNamespace(**resolved)
 
 
-def _require(ns, *names):
-    for name in names:
-        if getattr(ns, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required (flag or config file)")
+def _require(ns, options):
+    """Refuse a resolved namespace that lacks a `required` option."""
+    for dest, flag, _, _, extras in options:
+        if extras.get("required") and getattr(ns, dest) is None:
+            raise ValueError(f"{flag} is required (flag or config file)")
 
 
 def _output(path):
@@ -167,9 +168,7 @@ def _output(path):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_build_dataset(args) -> int:
-    ns = _resolve(args)
-    _require(ns, "soundings", "stations", "series", "weather")
+def cmd_build_dataset(ns) -> int:
     soundings = ingest.read_soundings(ns.soundings, quality_filter=not ns.no_quality_filter)
     catalog = ingest.read_station_catalog(ns.stations)
     series = ingest.read_station_series(ns.series)
@@ -185,14 +184,14 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
-def _train_model(kind, X, y, ns, seed) -> TrainedModel:
+def _train_model(kind, X, y, ns, seed):
     # an unset --learning-rate leaves each model kind its own default
     rate = {} if ns.learning_rate is None else {"learning_rate": ns.learning_rate}
     if kind == "baseline":
-        return TrainedModel("baseline", train_baseline(X, y))
+        return train_baseline(X, y)
     if kind == "gbt":
         cfg = GbtConfig(max_depth=ns.max_depth, n_estimators=ns.n_estimators, **rate)
-        return TrainedModel("gbt", train_gbt(X, y, cfg))
+        return train_gbt(X, y, cfg)
     if kind == "catboost":
         cfg = CatBoostConfig(
             nbr_classes=ns.classes,
@@ -202,33 +201,28 @@ def _train_model(kind, X, y, ns, seed) -> TrainedModel:
             decode=ns.decode,
             **rate,
         )
-        return TrainedModel("catboost", train_catboost(X, y, cfg))
+        return train_catboost(X, y, cfg)
     if kind == "mlp":
         cfg = MlpConfig(
             l2_lambda=ns.l2_lambda, epochs=ns.epochs, batch_size=ns.batch_size, seed=seed, **rate
         )
         stats = fusion.fit_norm_stats(X)
-        model = train_mlp(fusion.standardize(X, stats), y, cfg, norm=stats)
-        return TrainedModel("mlp", model)
+        return train_mlp(fusion.standardize(X, stats), y, cfg, norm=stats)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def cmd_train(args) -> int:
-    ns = _resolve(args)
-    _require(ns, "dataset", "model")
+def cmd_train(ns) -> int:
     dataset = fusion.read_dataset(ns.dataset)
     train, _ = fusion.split_by_station(dataset, set(ns.holdout_stations))
     if not train:
         raise EmptyDatasetError("no training samples left after the station holdout")
-    tm = _train_model(ns.model, train.X, train.y, ns, seed=ns.seed + SEED_OFFSETS["train"])
-    save(tm, ns.out)
+    model = _train_model(ns.model, train.X, train.y, ns, seed=ns.seed + SEED_OFFSETS["train"])
+    save(model, ns.out)
     print(f"trained {ns.model} on {len(train)} samples -> {ns.out}")
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    ns = _resolve(args)
-    _require(ns, "dataset", "model_file", "holdout_stations")
+def cmd_evaluate(ns) -> int:
     dataset = fusion.read_dataset(ns.dataset)
     _, test = fusion.split_by_station(dataset, set(ns.holdout_stations))
     if not test:
@@ -236,13 +230,13 @@ def cmd_evaluate(args) -> int:
     with _output(ns.out) as stream:
         print(metrics.EVAL_CSV_HEADER, file=stream)
         for path in ns.model_file:
-            tm = load(path)
-            yhat = predict_batch(tm, test.X)
+            model = load(path)
+            yhat = predict_batch(model, test.X)
             p = ns.p_features
             if p is None:
-                p = 1 if tm.kind == "baseline" else fusion.N_FEATURES
+                p = 1 if model.kind == "baseline" else fusion.N_FEATURES
             report = metrics.evaluate(test.y, yhat, p_features=p)
-            print(report.csv_row(tm.kind), file=stream)
+            print(report.csv_row(model.kind), file=stream)
     return 0
 
 
@@ -264,9 +258,7 @@ def _prediction_points(model_file, soundings_path, weather_path):
     return interpolate.PointSet(X[:, 2], X[:, 3], values)
 
 
-def cmd_predict_grid(args) -> int:
-    ns = _resolve(args)
-    _require(ns, "model_file", "soundings", "weather", "bbox", "res")
+def cmd_predict_grid(ns) -> int:
     points = _prediction_points(ns.model_file, ns.soundings, ns.weather)
     spec = GridSpec(bbox=ns.bbox, resolution=ns.res)
     params = interpolate.KnnParams(k=ns.k, p=ns.p)
@@ -294,9 +286,7 @@ def cmd_predict_grid(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    ns = _resolve(args)
-    _require(ns, "soundings", "weather", "bbox", "res")
+def cmd_sweep(ns) -> int:
     points = _prediction_points(ns.model_file, ns.soundings, ns.weather)
     spec = GridSpec(bbox=ns.bbox, resolution=ns.res)
     rows = interpolate.sweep(points, spec, ns.k_list, ns.p_list)
@@ -310,25 +300,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_importance(args) -> int:
-    ns = _resolve(args)
-    _require(ns, "model_file", "dataset")
-    tm = load(ns.model_file)
+def cmd_importance(ns) -> int:
+    model = load(ns.model_file)
     dataset = fusion.read_dataset(ns.dataset)
     seed = ns.seed + SEED_OFFSETS["importance"]
     if ns.method == "shapley":
-        report = shapley_attribution(tm, dataset.X, dataset.X, seed=seed, max_rows=ns.rows)
+        report = shapley_attribution(model, dataset.X, dataset.X, seed=seed, max_rows=ns.rows)
     else:
-        report = permutation_importance(tm, (dataset.X, dataset.y), repeats=ns.repeats, seed=seed)
+        report = permutation_importance(model, (dataset.X, dataset.y), repeats=ns.repeats,
+                                        seed=seed)
     with _output(ns.out) as stream:
         write_report_csv(report, stream)
     print(bar_summary(report), file=sys.stderr)
     return 0
 
 
-def cmd_synth(args) -> int:
-    ns = _resolve(args)
-    _require(ns, "out")
+def cmd_synth(ns) -> int:
     cfg = SynthConfig(
         seed=ns.seed + SEED_OFFSETS["synth"],
         bbox=ns.bbox,
@@ -356,30 +343,31 @@ def cmd_synth(args) -> int:
 def _opt(flag, cast=str, default=None, **extras):
     """One option: (dest, flag, cast, default, extras). The cast reads both
     the flag's text and the config value. The extras go to argparse, except
-    `kinds`: the train --model kinds or importance --methods that read the
-    option, where not all."""
+    `kinds`, the train --model kinds or importance --methods that read the
+    option where not all, and `required`, checked on the resolved value so
+    that a config key can supply it."""
     return flag[2:].replace("-", "_"), flag, cast, default, extras
 
 
-def _out(default=None):
-    return _opt("--out", default=default, help="output path")
+def _out(default=None, **extras):
+    return _opt("--out", default=default, help="output path", **extras)
 
 
 _SEED = _opt("--seed", int, 0, help="base seed (default 0)")
 _RASTER = (
-    _opt("--soundings"),
-    _opt("--weather"),
-    _opt("--bbox", BoundingBox.parse),
-    _opt("--res", float),
+    _opt("--soundings", required=True),
+    _opt("--weather", required=True),
+    _opt("--bbox", BoundingBox.parse, required=True),
+    _opt("--res", float, required=True),
 )
 
 # command: (handler, help line, options)
 COMMANDS = {
     "build-dataset": (cmd_build_dataset, "match soundings to stations and weather", (
-        _opt("--soundings"),
-        _opt("--stations"),
-        _opt("--series"),
-        _opt("--weather"),
+        _opt("--soundings", required=True),
+        _opt("--stations", required=True),
+        _opt("--series", required=True),
+        _opt("--weather", required=True),
         _opt("--radius-km", float, fusion.MatchConfig.max_distance_km),
         _opt("--time-window-min", float, fusion.MatchConfig.max_time_minutes),
         _opt("--weather-window", ingest.parse_weather_window, ingest.DEFAULT_WEATHER_WINDOW),
@@ -387,8 +375,8 @@ COMMANDS = {
         _out("dataset.csv"),
     )),
     "train": (cmd_train, "train one model kind on non-holdout stations", (
-        _opt("--dataset"),
-        _opt("--model", choices=MODEL_KINDS),
+        _opt("--dataset", required=True),
+        _opt("--model", choices=MODEL_KINDS, required=True),
         _opt("--holdout-stations", _parse_ids, ()),
         _SEED,
         _out("model.txt"),
@@ -406,15 +394,15 @@ COMMANDS = {
         _opt("--decode", str, CatBoostConfig.decode, choices=DECODE_MODES, kinds=("catboost",)),
     )),
     "evaluate": (cmd_evaluate, "score model files on the holdout stations", (
-        _opt("--dataset"),
-        _opt("--model-file", lambda s: tuple(s.split(",")),
+        _opt("--dataset", required=True),
+        _opt("--model-file", lambda s: tuple(s.split(",")), required=True,
              help="one or more model files, comma separated"),
-        _opt("--holdout-stations", _parse_ids),
+        _opt("--holdout-stations", _parse_ids, required=True),
         _opt("--p-features", int),
         _out(),
     )),
     "predict-grid": (cmd_predict_grid, "interpolate model predictions onto a raster", (
-        _opt("--model-file"),
+        _opt("--model-file", required=True),
         *_RASTER,
         _opt("--k", _parse_k, interpolate.DEFAULT_GRID_K, help="neighbours, or 'all'"),
         _opt("--p", float, interpolate.DEFAULT_GRID_P),
@@ -428,8 +416,8 @@ COMMANDS = {
         _out(),
     )),
     "importance": (cmd_importance, "feature attribution report", (
-        _opt("--model-file"),
-        _opt("--dataset"),
+        _opt("--model-file", required=True),
+        _opt("--dataset", required=True),
         _opt("--method", str, METHODS[0], choices=METHODS),
         _opt("--rows", int, DEFAULT_SHAPLEY_ROWS, kinds=("shapley",)),
         _opt("--repeats", int, DEFAULT_REPEATS, kinds=("permutation",)),
@@ -437,7 +425,7 @@ COMMANDS = {
         _out(),
     )),
     "synth": (cmd_synth, "generate a synthetic campaign directory", (
-        _out(),
+        _out(required=True),
         _opt("--bbox", BoundingBox.parse, SynthConfig.bbox),
         _opt("--n-stations", int, SynthConfig.n_stations),
         _opt("--n-transects", int, SynthConfig.n_transects),
@@ -458,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="key = value config file; flags override it")
         for dest, flag, cast, _, extras in options:
-            extras = {k: v for k, v in extras.items() if k != "kinds"}
+            extras = {k: v for k, v in extras.items() if k not in ("kinds", "required")}
             typed = extras if "action" in extras else {"type": cast, **extras}
             p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **typed)
         p.set_defaults(func=handler, options=options, parser=p)
@@ -471,7 +459,9 @@ def main(argv=None) -> int:
     if args.verbose:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
-        return args.func(args)
+        ns = _resolve(args)
+        _require(ns, args.options)
+        return args.func(ns)
     except (EmptyDatasetError, NoDataError) as exc:
         print(f"co2fuse: empty data: {exc}", file=sys.stderr)
         return 3

@@ -387,23 +387,13 @@ def write_dataset(dataset: Dataset, path) -> None:
     ))
 
 
-def _finite_rows(path, numbers: array, n: int) -> np.ndarray:
-    """The first n dataset.csv rows of the flat numbers (the features, the
-    label and the distance) as an (n, 16) table; a row holding a non-finite
-    number is a SchemaError naming its line."""
-    table = np.frombuffer(numbers, count=n * (N_FEATURES + 2)).reshape(n, N_FEATURES + 2)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if len(bad):
-        raise SchemaError(f"{path}:{bad[0] + 2}: non-finite value")
-    return table
-
-
 def read_dataset(path) -> Dataset:
     """Read a dataset.csv written by write_dataset. A wrong header or column
     count, a value that does not parse and a non-finite number are each a
-    SchemaError naming the first bad line."""
+    SchemaError naming the file line of the first bad row."""
     expected = FEATURE_NAMES + DATASET_EXTRA_COLUMNS
-    numbers = array("d")
+    # the returned columns view these buffers: no second copy of the table
+    features, labels, distances = array("d"), array("d"), array("d")
     station_ids, times = [], array("q")
     micros = _MicrosByText()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -411,18 +401,21 @@ def read_dataset(path) -> Dataset:
         header = next(reader, None)
         if header is None or tuple(header) != expected:
             raise SchemaError(f"{path}: expected dataset header {expected}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 if len(row) != len(expected):
                     raise ValueError("wrong column count")
-                numbers.extend(map(float, row[:N_FEATURES + 1]))
+                values = list(map(float, row[:N_FEATURES + 1]))
                 times.append(micros[row[N_FEATURES + 2]])
-                numbers.append(float(row[N_FEATURES + 3]))
+                values.append(float(row[N_FEATURES + 3]))
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("non-finite value")
             except ValueError as exc:
-                _finite_rows(path, numbers, lineno - 2)  # an earlier bad line goes first
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+                raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+            features.extend(values[:N_FEATURES])
+            labels.append(values[N_FEATURES])
+            distances.append(values[-1])
             station_ids.append(row[N_FEATURES + 1])
-    table = _finite_rows(path, numbers, len(station_ids))
-    X = np.ascontiguousarray(table[:, :N_FEATURES])
-    return Dataset(X, table[:, N_FEATURES].copy(), np.array(station_ids, dtype=object),
-                   np.array(times, dtype=np.int64), table[:, N_FEATURES + 1].copy())
+    X = np.frombuffer(features).reshape(-1, N_FEATURES)
+    return Dataset(X, np.frombuffer(labels), np.array(station_ids, dtype=object),
+                   np.array(times, dtype=np.int64), np.frombuffer(distances))

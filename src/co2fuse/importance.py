@@ -164,7 +164,7 @@ def shapley_attribution(
 ) -> AttributionReport:
     """Mean absolute exact Shapley value per feature over the explained rows.
 
-    `model` is a TrainedModel and `X_rows` the (n, d) feature rows to
+    `model` is a trained model and `X_rows` the (n, d) feature rows to
     explain; rows beyond max_rows are subsampled with the given seed. The
     column means of the background rows `X_bg` are the imputation values.
     """
@@ -184,10 +184,10 @@ def shapley_attribution(
 
     d = X_rows.shape[1]
     fn = lambda X: predict_batch(model, X)
-    # also checks the model's feature order on every route
+    # also checks the width of the background on every route
     baseline = float(fn(mu[None, :])[0])
     if model.kind == "gbt":
-        phis = _leaf_path_shapley(model.model, X_rows, mu)
+        phis = _leaf_path_shapley(model, X_rows, mu)
     else:
         tables = _coalition_tables(d)
         phis = (exact_shapley_row(fn, x, mu, tables) for x in X_rows)

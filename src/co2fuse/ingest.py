@@ -297,8 +297,8 @@ def read_station_catalog(path) -> list[Station]:
 def read_station_series(path) -> StationSeries:
     """Read hourly station CO2 series, sorted by (station_id, time); gaps are
     fine, duplicates are not."""
-    sids, times, co2s = [], array("q"), array("d")
-    distinct: dict[str, str] = {}  # one str object per station id
+    codes, times, co2s = array("q"), array("q"), array("d")
+    code_of: dict[str, int] = {}  # station id -> code, in first-seen order
     micros = _MicrosByText()
     total = malformed = 0
     for _, (sid, t_text, co2_text) in _rows(path, SERIES_COLUMNS):
@@ -314,26 +314,32 @@ def read_station_series(path) -> StationSeries:
         except ValueError:
             malformed += 1
             continue
-        sids.append(distinct.setdefault(sid, sid))
+        codes.append(code_of.setdefault(sid, len(code_of)))
         times.append(t)
         co2s.append(co2)
+    del micros
     # rank the ids with Python's string order: numpy's <U strings drop
     # trailing NULs
-    rank = {sid: r for r, sid in enumerate(sorted(distinct))}
-    station = np.array([rank[sid] for sid in sids], dtype=np.int64)
-    t = np.array(times, dtype=np.int64)
-    order = np.lexsort((t, station))
-    station, t = station[order], t[order]
+    names = sorted(code_of)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[code_of[sid] for sid in names]] = np.arange(len(names))
+    station = rank[np.frombuffer(codes, dtype=np.int64)]
+    del codes
+    order = np.lexsort((np.frombuffer(times, dtype=np.int64), station))
+    # each unsorted column goes as soon as its sorted copy exists
+    station = station[order]
+    t = np.frombuffer(times, dtype=np.int64)[order]
+    del times
     # equal keys keep file order, so each run's later rows are repeats
     repeats = np.flatnonzero((station[1:] == station[:-1]) & (t[1:] == t[:-1])) + 1
     if len(repeats):
-        first = order[repeats].min()
-        raise DuplicateKeyError(f"{path}: duplicate observation {sids[first]!r} @ "
-                                f"{_TextByMicros()[times[first]]}")
+        at = repeats[np.argmin(order[repeats])]  # the first repeat in file order
+        raise DuplicateKeyError(f"{path}: duplicate observation {names[station[at]]!r} @ "
+                                f"{_TextByMicros()[int(t[at])]}")
     _corrupt_gate(path, total, malformed, "series")
-    return StationSeries(
-        np.array(sids, dtype=object)[order], t, np.array(co2s, dtype=np.float64)[order]
-    )
+    co2 = np.frombuffer(co2s, dtype=np.float64)[order]
+    del co2s, order
+    return StationSeries(np.array(names, dtype=object)[station], t, co2)
 
 
 DEFAULT_WEATHER_WINDOW = (time(9, 0), time(15, 0))

@@ -14,7 +14,6 @@ from .mlp import (
 )
 from .persist import (
     MODEL_KINDS,
-    TrainedModel,
     load,
     predict_batch,
     save,
@@ -37,7 +36,6 @@ __all__ = [
     "loss_and_gradients",
     "param_count",
     "MODEL_KINDS",
-    "TrainedModel",
     "save",
     "load",
     "predict_batch",

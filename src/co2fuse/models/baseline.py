@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -14,6 +15,7 @@ XCO2_COLUMN = 0
 
 @dataclass(frozen=True)
 class LinearModel:
+    kind: ClassVar[str] = "baseline"
     slope: float
     intercept: float
 

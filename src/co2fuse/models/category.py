@@ -11,11 +11,12 @@ expectation decode over the class probabilities is available as a flag).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import DegenerateBinningError, EmptyDatasetError
-from .trees import TreeNode, fit_tree, predict_tree, presort
+from .trees import Presorted, TreeNode, fit_tree, predict_tree
 
 DECODE_MODES = ("argmax", "expectation")
 
@@ -44,6 +45,7 @@ class CatBoostConfig:
 
 @dataclass
 class CatModel:
+    kind: ClassVar[str] = "catboost"
     bin_edges: np.ndarray  # nbr_classes + 1 edges over the training label range
     bin_centers: np.ndarray
     learning_rate: float
@@ -96,7 +98,7 @@ def train_catboost(
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train category boosting on an empty set")
-    presorted = presort(X)
+    presorted = Presorted(X)
     edges, centers, labels = bin_labels(y, cfg.nbr_classes)
     n, k = X.shape[0], cfg.nbr_classes
     onehot = np.zeros((n, k), dtype=np.float64)

@@ -9,11 +9,12 @@ in (0, 1] the per-round training MSE is non-increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import EmptyDatasetError
-from .trees import TreeNode, fit_tree, predict_tree, presort
+from .trees import Presorted, TreeNode, fit_tree, predict_tree
 
 
 @dataclass(frozen=True)
@@ -21,19 +22,17 @@ class GbtConfig:
     max_depth: int = 6
     learning_rate: float = 0.1
     n_estimators: int = 100
-    min_split_gain: float = 0.0  # any positive gain splits when 0
 
     def __post_init__(self):
         if self.max_depth < 1 or self.n_estimators < 1:
             raise ValueError("max_depth and n_estimators must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if not self.min_split_gain >= 0.0:
-            raise ValueError("min_split_gain must be >= 0")
 
 
 @dataclass
 class GbtModel:
+    kind: ClassVar[str] = "gbt"
     base_score: float
     learning_rate: float
     trees: list[TreeNode]
@@ -53,7 +52,7 @@ def train_gbt(X: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Gbt
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train gradient boosting on an empty set")
-    presorted = presort(X)
+    presorted = Presorted(X)
     base = float(y.mean())
     pred = np.full_like(y, base)
     trees: list[TreeNode] = []
@@ -67,7 +66,6 @@ def train_gbt(X: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Gbt
             hess=ones,
             max_depth=cfg.max_depth,
             reg_lambda=0.0,
-            min_gain=cfg.min_split_gain,
             presorted=presorted,
         )
         pred += cfg.learning_rate * predict_tree(tree, X)

@@ -16,7 +16,7 @@ at the constant); training keeps only the activations of its mini-batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +73,7 @@ def param_count(input_dim: int, hidden_sizes: Sequence[int], output_dim: int = 1
 
 @dataclass
 class MlpModel:
+    kind: ClassVar[str] = "mlp"
     weights: list[np.ndarray]  # (n_in, n_out) per layer
     biases: list[np.ndarray]
     l2_lambda: float

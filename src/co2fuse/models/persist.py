@@ -15,7 +15,6 @@ MLP weight matrices row-major.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,39 +30,17 @@ MAGIC = "CO2FUSE-MODEL"
 FORMAT_VERSION = "v1"
 MODEL_KINDS = ("baseline", "gbt", "catboost", "mlp")
 
-ModelObject = LinearModel | GbtModel | CatModel | MlpModel
+Model = LinearModel | GbtModel | CatModel | MlpModel
 
 
-@dataclass(frozen=True)
-class TrainedModel:
-    """A trained predictor plus the feature order it was fit on."""
-
-    kind: str
-    model: ModelObject
-    feature_names: tuple[str, ...] = FEATURE_NAMES
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-
-
-def _check_fingerprint(tm: TrainedModel) -> None:
-    if tuple(tm.feature_names) != FEATURE_NAMES:
-        raise FeatureOrderError(
-            f"model was saved with feature order {tm.feature_names}, "
-            f"expected the canonical order {FEATURE_NAMES}"
-        )
-
-
-def predict_batch(tm: TrainedModel, X: np.ndarray) -> np.ndarray:
+def predict_batch(model: Model, X: np.ndarray) -> np.ndarray:
     """Predict ppm for a batch of canonical feature vectors."""
-    _check_fingerprint(tm)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != len(FEATURE_NAMES):
         raise FeatureOrderError(
             f"feature matrix has {X.shape[1]} columns, expected {len(FEATURE_NAMES)}"
         )
-    return tm.model.predict_batch(X)
+    return model.predict_batch(X)
 
 
 def _f(x: float) -> str:
@@ -74,41 +51,40 @@ def _floats_line(tag: str, values) -> str:
     return tag + " " + " ".join(_f(v) for v in values)
 
 
-def save(tm: TrainedModel, path) -> None:
+def save(model: Model, path) -> None:
     lines = [
-        f"{MAGIC} {FORMAT_VERSION} {tm.kind}",
-        "features " + " ".join(tm.feature_names),
+        f"{MAGIC} {FORMAT_VERSION} {model.kind}",
+        "features " + " ".join(FEATURE_NAMES),
     ]
-    norm = getattr(tm.model, "norm", None)
+    norm = getattr(model, "norm", None)
     if norm is None:
         lines.append("normstats none")
     else:
         lines.append(_floats_line("normstats-mean", norm.mean))
         lines.append(_floats_line("normstats-std", norm.std))
 
-    m = tm.model
-    if tm.kind == "baseline":
-        lines.append(f"slope {_f(m.slope)}")
-        lines.append(f"intercept {_f(m.intercept)}")
-    elif tm.kind == "gbt":
-        lines.append(f"base_score {_f(m.base_score)}")
-        lines.append(f"learning_rate {_f(m.learning_rate)}")
-        lines.append(f"n_trees {len(m.trees)}")
-        lines.extend(tree_to_sexpr(t) for t in m.trees)
-    elif tm.kind == "catboost":
-        lines.append(f"classes {m.n_classes}")
-        lines.append(f"learning_rate {_f(m.learning_rate)}")
-        lines.append(f"decode {m.decode}")
-        lines.append(_floats_line("edges", m.bin_edges))
-        lines.append(_floats_line("centers", m.bin_centers))
-        lines.append(f"iterations {len(m.trees)}")
-        for round_trees in m.trees:
+    if model.kind == "baseline":
+        lines.append(f"slope {_f(model.slope)}")
+        lines.append(f"intercept {_f(model.intercept)}")
+    elif model.kind == "gbt":
+        lines.append(f"base_score {_f(model.base_score)}")
+        lines.append(f"learning_rate {_f(model.learning_rate)}")
+        lines.append(f"n_trees {len(model.trees)}")
+        lines.extend(tree_to_sexpr(t) for t in model.trees)
+    elif model.kind == "catboost":
+        lines.append(f"classes {model.n_classes}")
+        lines.append(f"learning_rate {_f(model.learning_rate)}")
+        lines.append(f"decode {model.decode}")
+        lines.append(_floats_line("edges", model.bin_edges))
+        lines.append(_floats_line("centers", model.bin_centers))
+        lines.append(f"iterations {len(model.trees)}")
+        for round_trees in model.trees:
             lines.extend(tree_to_sexpr(t) for t in round_trees)
-    elif tm.kind == "mlp":
-        lines.append(f"l2_lambda {_f(m.l2_lambda)}")
-        sizes = [m.weights[0].shape[0]] + [w.shape[1] for w in m.weights]
+    elif model.kind == "mlp":
+        lines.append(f"l2_lambda {_f(model.l2_lambda)}")
+        sizes = [model.weights[0].shape[0]] + [w.shape[1] for w in model.weights]
         lines.append("layers " + " ".join(str(s) for s in sizes))
-        for w, b in zip(m.weights, m.biases):
+        for w, b in zip(model.weights, model.biases):
             lines.append(f"W {w.shape[0]} {w.shape[1]}")
             lines.extend(" ".join(_f(v) for v in row) for row in w)
             lines.append(f"b {b.shape[0]} " + " ".join(_f(v) for v in b))
@@ -182,11 +158,12 @@ class _LineReader:
         return self.finite(values, tag)
 
 
-def load(path) -> TrainedModel:
-    """Load a model file; bad magic, version or payload, a negative count, a
-    split on a feature outside the canonical list, normstats or MLP layers of
-    the wrong width, a nan or infinite float or a line after the payload
-    raises ModelFormatError."""
+def load(path) -> Model:
+    """Load a model file. A features line other than the canonical names in
+    order raises FeatureOrderError. Bad magic, version or payload, a negative
+    count, a split on a feature outside the canonical list, normstats or MLP
+    layers of the wrong width, a nan or infinite float or a line after the
+    payload raise ModelFormatError."""
     r = _LineReader(path)
     head = r.next().split()
     if len(head) != 3 or head[0] != MAGIC:
@@ -199,6 +176,11 @@ def load(path) -> TrainedModel:
     if kind not in MODEL_KINDS:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     features = tuple(r.tagged("features"))
+    if features != FEATURE_NAMES:
+        raise FeatureOrderError(
+            f"{path}: model was saved with feature order {features}, "
+            f"expected the canonical order {FEATURE_NAMES}"
+        )
 
     norm = None
     marker = r.next()
@@ -217,7 +199,7 @@ def load(path) -> TrainedModel:
         if kind == "baseline":
             slope = r.scalar("slope")
             intercept = r.scalar("intercept")
-            model: ModelObject = LinearModel(slope=slope, intercept=intercept)
+            model: Model = LinearModel(slope=slope, intercept=intercept)
         elif kind == "gbt":
             base = r.scalar("base_score")
             lr = r.scalar("learning_rate")
@@ -275,5 +257,4 @@ def load(path) -> TrainedModel:
         raise ModelFormatError(f"{path}: malformed payload ({exc})") from exc
     if r.pos != len(r.lines):
         raise ModelFormatError(f"{path}: unexpected line {r.pos + 1} after the payload")
-
-    return TrainedModel(kind=kind, model=model, feature_names=features)
+    return model

@@ -1,7 +1,7 @@
 """Axis-aligned regression trees fit to gradient/hessian pairs.
 
 The builder does exact greedy splitting over presorted columns (the column
-blocks of Chen & Guestrin, *XGBoost*, KDD 2016). ``presort`` sorts each
+blocks of Chen & Guestrin, *XGBoost*, KDD 2016). ``Presorted`` sorts each
 feature once per fit; a node holds, for every feature, its rows in ascending
 order of that feature. One pass over that ``(features, node rows)`` block
 scores every boundary between distinct values of every feature, and the
@@ -81,11 +81,6 @@ class Presorted:
         self.goes_left = np.empty(n, dtype=bool)
 
 
-def presort(X: np.ndarray) -> Presorted:
-    """Sort every column of X once, for all the trees fit on X."""
-    return Presorted(X)
-
-
 def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return buf[: shape[0] * shape[1]].reshape(shape)
 
@@ -147,16 +142,14 @@ def fit_tree(
     hess: np.ndarray,
     max_depth: int,
     reg_lambda: float = 0.0,
-    min_gain: float = 0.0,
     presorted: Optional[Presorted] = None,
 ) -> TreeNode:
     """Grow a depth-limited tree on (gradient, hessian) targets.
 
-    ``presorted`` is ``presort(X)``; pass it to share one sort across the
+    ``presorted`` is ``Presorted(X)``; pass it to share one sort across the
     trees of a fit.
     """
-    min_gain = max(min_gain, _GAIN_EPS)
-    ws = presort(X) if presorted is None else presorted
+    ws = Presorted(X) if presorted is None else presorted
     n_features = ws.order.shape[0]
     gh = np.empty(grad.shape, dtype=np.complex128)
     gh.real, gh.imag = grad, hess
@@ -179,7 +172,7 @@ def fit_tree(
         if is_leaf(idx, depth):
             return TreeNode.leaf(leaf_value)
         gain, f, thr = _best_split(ws, block, xo, gh, G, H, reg_lambda)
-        if f < 0 or gain <= min_gain:
+        if f < 0 or gain <= _GAIN_EPS:
             return TreeNode.leaf(leaf_value)
         mask = X[idx, f] < thr
         left, right = idx[mask], idx[~mask]

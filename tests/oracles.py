@@ -176,10 +176,10 @@ def _reference_best_split(X, g, h, reg_lambda):
     return best_gain, best_feature, best_threshold
 
 
-def reference_tree_sexpr(X, grad, hess, max_depth, reg_lambda=0.0, min_gain=0.0):
+def reference_tree_sexpr(X, grad, hess, max_depth, reg_lambda=0.0):
     """Exact greedy tree that sorts every feature again at every node,
-    written out directly as the s-expression ``(split f thr l r)``/``(leaf v)``."""
-    min_gain = max(min_gain, 1e-12)
+    written out directly as the s-expression ``(split f thr l r)``/``(leaf v)``;
+    a split needs a gain above 1e-12."""
 
     def build(idx, depth):
         g = grad[idx]
@@ -188,7 +188,7 @@ def reference_tree_sexpr(X, grad, hess, max_depth, reg_lambda=0.0, min_gain=0.0)
         if depth >= max_depth or idx.size < 2:
             return leaf
         gain, f, thr = _reference_best_split(X[idx], g, h, reg_lambda)
-        if f < 0 or gain <= min_gain:
+        if f < 0 or gain <= 1e-12:
             return leaf
         mask = X[idx, f] < thr
         left = build(idx[mask], depth + 1)

@@ -35,7 +35,6 @@ from co2fuse.models import (
     GbtConfig,
     LinearModel,
     MlpConfig,
-    TrainedModel,
     load,
     param_count,
     predict_batch,
@@ -78,12 +77,9 @@ def bundle():
     train, test = split_by_station(dataset, HOLDOUT)
     X_train, y_train = design_matrix(train)
     X_test, y_test = design_matrix(test)
-    baseline = TrainedModel("baseline", train_baseline(X_train, y_train))
+    baseline = train_baseline(X_train, y_train)
     stats = fit_norm_stats(X_train)
-    mlp = TrainedModel(
-        "mlp",
-        train_mlp(standardize(X_train, stats), y_train, MlpConfig(seed=1), norm=stats),
-    )
+    mlp = train_mlp(standardize(X_train, stats), y_train, MlpConfig(seed=1), norm=stats)
     return {
         "cfg": cfg,
         "campaign": campaign,
@@ -239,7 +235,7 @@ def test_09_shapley_correctness(bundle):
 
         # linear model: closed form and per-row local accuracy on 256 rows
         slope, intercept = 0.8, 80.0
-        linear = TrainedModel("baseline", LinearModel(slope=slope, intercept=intercept))
+        linear = LinearModel(slope=slope, intercept=intercept)
         f = lambda Z: predict_batch(linear, Z)
         rows = X[:256]
         for x in rows:
@@ -289,10 +285,10 @@ def test_11_determinism_and_persistence(bundle, tmp_path):
 
         def builds():
             return [
-                TrainedModel("baseline", train_baseline(X[sub], y[sub])),
-                TrainedModel("gbt", train_gbt(X[sub], y[sub], GbtConfig(n_estimators=10))),
-                TrainedModel("catboost", train_catboost(X[sub], y[sub], CatBoostConfig(iterations=4))),
-                TrainedModel("mlp", train_mlp(Xs, y[sub], MlpConfig(epochs=4, seed=3), norm=stats)),
+                train_baseline(X[sub], y[sub]),
+                train_gbt(X[sub], y[sub], GbtConfig(n_estimators=10)),
+                train_catboost(X[sub], y[sub], CatBoostConfig(iterations=4)),
+                train_mlp(Xs, y[sub], MlpConfig(epochs=4, seed=3), norm=stats),
             ]
 
         first, second = builds(), builds()

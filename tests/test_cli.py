@@ -419,10 +419,13 @@ def test_loaded_model_predicts_like_library(workdir):
         (lambda ls: ls[:-6] + ["n_trees 1", "(split 0 415 (leaf nan) (leaf 1))"], 2),
         (lambda ls: ls[:-6] + ["n_trees 1", "(split 0 415 (leaf 0) (leaf -inf))"], 2),
         (lambda ls: ls[:-6] + ["n_trees 1", "(split 0 inf (leaf 0) (leaf 1))"], 2),
+        # the canonical feature names in reverse order
+        (lambda ls: [ls[0], " ".join(["features", *ls[1].split()[:0:-1]]), *ls[2:]], 2),
     ],
     ids=[
         "deep-tree", "trailing-line", "negative-count", "split-feature-99",
         "split-feature-minus-1", "leaf-nan", "leaf-minus-inf", "threshold-inf",
+        "features-reversed",
     ],
 )
 def test_evaluate_edited_gbt_model_exit_code(workdir, tmp_path, edit, code):

@@ -368,6 +368,19 @@ def test_dataset_error_names_first_bad_line_in_file_order(tmp_path):
         fusion.read_dataset(path)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("not-a-number", "could not convert"), ("nan", "non-finite value"),
+])
+def test_dataset_error_names_the_file_line_past_a_quoted_newline(tmp_path, value, message):
+    path = tmp_path / "dataset.csv"
+    fusion.write_dataset(_toy_dataset(), path)
+    _edit_dataset_field(path, 4, "xco2", value)
+    # the first row's station id spans lines 2-3, so the third row ends on line 5
+    _edit_dataset_field(path, 2, "station_id", '"S\nT"')
+    with pytest.raises(SchemaError, match=rf"dataset\.csv:5: {message}"):
+        fusion.read_dataset(path)
+
+
 def test_match_config_validation():
     with pytest.raises(ValueError):
         MatchConfig(max_distance_km=0.0)

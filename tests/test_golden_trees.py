@@ -14,7 +14,6 @@ from co2fuse.fusion import design_matrix
 from co2fuse.models import (
     CatBoostConfig,
     GbtConfig,
-    TrainedModel,
     save,
     train_catboost,
     train_gbt,
@@ -35,5 +34,5 @@ TRAINERS = {
 def test_tree_model_file_digest(kind, small_dataset, tmp_path):
     X, y = design_matrix(small_dataset)
     path = tmp_path / f"{kind}.model"
-    save(TrainedModel(kind, TRAINERS[kind](X, y)), path)
+    save(TRAINERS[kind](X, y), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]

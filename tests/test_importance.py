@@ -17,7 +17,6 @@ from co2fuse.models import (
     GbtConfig,
     GbtModel,
     LinearModel,
-    TrainedModel,
     TreeNode,
     predict_batch,
     train_gbt,
@@ -64,7 +63,7 @@ def test_dummy_feature_gets_zero():
 
 
 def _linear_trained_model():
-    return TrainedModel("baseline", LinearModel(slope=0.8, intercept=80.0))
+    return LinearModel(slope=0.8, intercept=80.0)
 
 
 def test_report_on_trained_model():
@@ -86,7 +85,7 @@ def test_report_on_trained_model():
 def test_report_local_accuracy_on_gbt():
     X = rng.normal(415, 4, size=(120, 14))
     y = X[:, 0] + 0.5 * X[:, 8] + rng.normal(0, 0.5, 120)
-    tm = TrainedModel("gbt", train_gbt(X, y, GbtConfig(n_estimators=25)))
+    tm = train_gbt(X, y, GbtConfig(n_estimators=25))
     mu = X.mean(axis=0)
     tables = _coalition_tables(14)
     f = lambda Z: predict_batch(tm, Z)
@@ -145,8 +144,7 @@ def _split_features(trees):
 @given(_tie_prone_gbt())
 def test_leaf_path_shapley_matches_enumeration(problem):
     gbt, X, mu = problem
-    tm = TrainedModel("gbt", gbt)
-    f = lambda Z: predict_batch(tm, Z)
+    f = lambda Z: predict_batch(gbt, Z)
     tables = _coalition_tables(14)
     phi = _leaf_path_shapley(gbt, X, mu)
     never_split = sorted(set(range(14)) - _split_features(gbt.trees))
@@ -161,7 +159,7 @@ def test_leaf_path_shapley_matches_enumeration(problem):
 def test_gbt_report_matches_enumeration_and_checks_feature_order():
     X = rng.normal(415, 4, size=(120, 14))
     y = X[:, 0] + 0.5 * X[:, 8] + rng.normal(0, 0.5, 120)
-    tm = TrainedModel("gbt", train_gbt(X, y, GbtConfig(n_estimators=25)))
+    tm = train_gbt(X, y, GbtConfig(n_estimators=25))
     mu = X.mean(axis=0)
     f = lambda Z: predict_batch(tm, Z)
     tables = _coalition_tables(14)
@@ -170,9 +168,8 @@ def test_gbt_report_matches_enumeration_and_checks_feature_order():
     got = {e.feature: e.value for e in report.entries}
     assert max(abs(got[n] - want[i]) for i, n in enumerate(FEATURE_NAMES)) <= 1e-9
     assert report.baseline == float(f(mu[None, :])[0])
-    scrambled = TrainedModel("gbt", tm.model, feature_names=tuple(reversed(FEATURE_NAMES)))
     with pytest.raises(FeatureOrderError):
-        shapley_attribution(scrambled, X[:3], X)
+        shapley_attribution(tm, X[:3, :13], X[:, :13])
 
 
 def test_row_subsample_deterministic():
@@ -198,7 +195,7 @@ def test_permutation_ranks_copied_feature_first():
     X = rng.normal(size=(300, 14))
     y = X[:, 3].copy()  # label is an exact copy of feature 3
     # train a depth-2 booster; it must lock onto feature 3
-    tm = TrainedModel("gbt", train_gbt(X, y, GbtConfig(max_depth=2, n_estimators=40)))
+    tm = train_gbt(X, y, GbtConfig(max_depth=2, n_estimators=40))
     report = permutation_importance(tm, (X, y), repeats=3, seed=5)
     assert report.entries[0].feature == "longitude"  # canonical name of column 3
     assert report.entries[0].value > 10 * abs(report.entries[-1].value)

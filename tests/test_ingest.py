@@ -551,3 +551,25 @@ def test_read_weather_peak_is_under_three_times_its_columns(tmp_path):
     assert len(back) == days * 7 * nodes
     kept = sum(a.nbytes for a in (back.times, back.latitudes, back.longitudes, back.values))
     assert peak < 3 * kept
+
+
+def test_read_station_series_peak_is_under_twice_its_columns(tmp_path):
+    stations, hours = 16, 1500
+    t0 = ingest.to_micros([datetime(2020, 1, 1, tzinfo=UTC)])[0]
+    ids = np.array([f"ST{i:02d}" for i in range(stations)], dtype=object)
+    series = ingest.StationSeries(
+        np.repeat(ids, hours), np.tile(t0 + np.arange(hours) * 3_600_000_000, stations),
+        np.random.default_rng(0).uniform(390.0, 430.0, stations * hours),
+    )
+    path = tmp_path / "se.csv"
+    ingest.write_station_series(series, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = ingest.read_station_series(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(back) == stations * hours
+    kept = sum(a.nbytes for a in (back.station_id, back.time, back.co2))
+    assert peak < 2 * kept

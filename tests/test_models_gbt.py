@@ -60,15 +60,12 @@ def test_config_validation():
         GbtConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         GbtConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        GbtConfig(min_split_gain=-1.0)
 
 
-@pytest.mark.parametrize("field", ["learning_rate", "min_split_gain"])
+@pytest.mark.parametrize("field", ["learning_rate"])
 def test_config_rejects_nan(field):
     with pytest.raises(ValueError):
         GbtConfig(**{field: float("nan")})
-    assert GbtConfig(min_split_gain=0.0).min_split_gain == 0.0
 
 
 def test_deterministic_across_runs():

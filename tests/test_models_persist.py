@@ -9,7 +9,6 @@ from co2fuse.models import (
     CatBoostConfig,
     GbtConfig,
     MlpConfig,
-    TrainedModel,
     load,
     predict_batch,
     save,
@@ -27,32 +26,28 @@ Y_TRAIN = X_TRAIN[:, 0] * 0.8 + rng.normal(0, 1, 150) + 80
 def _all_models():
     stats = fit_norm_stats(X_TRAIN)
     return [
-        TrainedModel("baseline", train_baseline(X_TRAIN, Y_TRAIN)),
-        TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=8))),
-        TrainedModel(
-            "catboost", train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=4))
-        ),
-        TrainedModel(
-            "mlp",
-            train_mlp(standardize(X_TRAIN, stats), Y_TRAIN, MlpConfig(epochs=3), norm=stats),
-        ),
+        train_baseline(X_TRAIN, Y_TRAIN),
+        train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=8)),
+        train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=4)),
+        train_mlp(standardize(X_TRAIN, stats), Y_TRAIN, MlpConfig(epochs=3), norm=stats),
     ]
 
 
-@pytest.mark.parametrize("tm", _all_models(), ids=lambda tm: tm.kind)
-def test_round_trip_predicts_bit_identically(tm, tmp_path):
-    path = tmp_path / f"{tm.kind}.model"
-    save(tm, path)
+@pytest.mark.parametrize("model", _all_models(), ids=lambda model: model.kind)
+def test_round_trip_predicts_bit_identically(model, tmp_path):
+    path = tmp_path / f"{model.kind}.model"
+    save(model, path)
     back = load(path)
-    assert back.kind == tm.kind
+    assert type(back) is type(model)
+    assert back.kind == model.kind
     queries = np.random.default_rng(99).normal(415, 5, size=(100, 14))
-    assert np.array_equal(predict_batch(tm, queries), predict_batch(back, queries))
+    assert np.array_equal(predict_batch(model, queries), predict_batch(back, queries))
 
 
 def test_truncated_file_rejected(tmp_path):
-    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=8)))
+    model = train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=8))
     path = tmp_path / "m.model"
-    save(tm, path)
+    save(model, path)
     content = path.read_text()
     (tmp_path / "trunc.model").write_text(content[: len(content) // 2])
     with pytest.raises(ModelFormatError):
@@ -80,30 +75,32 @@ def test_unknown_kind_rejected(tmp_path):
         load(path)
 
 
-def test_fingerprint_mismatch_blocks_prediction(tmp_path):
-    tm = TrainedModel("baseline", train_baseline(X_TRAIN, Y_TRAIN))
-    path = tmp_path / "m.model"
-    save(tm, path)
-    text = path.read_text().replace("features xco2 ", "features xco2_scrambled ")
-    path.write_text(text)
-    back = load(path)
-    with pytest.raises(FeatureOrderError):
-        predict_batch(back, np.zeros((1, 14)))
+@pytest.mark.parametrize("edit", [
+    lambda names: ["xco2_scrambled", *names[1:]],
+    lambda names: names[::-1],
+    lambda names: names[:-1],
+    lambda names: names + ["extra"],
+], ids=["renamed", "reversed", "short", "long"])
+def test_non_canonical_feature_order_rejected_at_load(tmp_path, edit):
+    lines = _saved(tmp_path, train_baseline(X_TRAIN, Y_TRAIN)).splitlines()
+    lines[1] = " ".join(["features", *edit(lines[1].split()[1:])])
+    with pytest.raises(FeatureOrderError, match="expected the canonical order"):
+        _load_text(tmp_path, "\n".join(lines) + "\n")
 
 
 def test_wrong_feature_count_rejected_at_predict():
-    tm = TrainedModel("baseline", train_baseline(X_TRAIN, Y_TRAIN))
+    model = train_baseline(X_TRAIN, Y_TRAIN)
     with pytest.raises(FeatureOrderError):
-        predict_batch(tm, np.zeros((3, 9)))
+        predict_batch(model, np.zeros((3, 9)))
 
 
 def test_linear_predict_value():
     from co2fuse.models import LinearModel
 
-    tm = TrainedModel("baseline", LinearModel(slope=1.0, intercept=0.0))
+    model = LinearModel(slope=1.0, intercept=0.0)
     v = np.zeros(14)
     v[0] = 410.0
-    assert predict_batch(tm, v[None, :])[0] == 410.0
+    assert predict_batch(model, v[None, :])[0] == 410.0
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path):
@@ -111,9 +108,9 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
     Xs = standardize(X_TRAIN, stats)
     for i, make in enumerate(
         [
-            lambda: TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=6))),
-            lambda: TrainedModel("mlp", train_mlp(Xs, Y_TRAIN, MlpConfig(epochs=3, seed=4), norm=stats)),
-            lambda: TrainedModel("catboost", train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=3))),
+            lambda: train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=6)),
+            lambda: train_mlp(Xs, Y_TRAIN, MlpConfig(epochs=3, seed=4), norm=stats),
+            lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=3)),
         ]
     ):
         p1 = tmp_path / f"a{i}.model"
@@ -123,14 +120,9 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_unknown_model_kind_in_wrapper():
-    with pytest.raises(ValueError):
-        TrainedModel("forest", train_baseline(X_TRAIN, Y_TRAIN))
-
-
-def _saved(tmp_path, tm) -> str:
+def _saved(tmp_path, model) -> str:
     path = tmp_path / "good.model"
-    save(tm, path)
+    save(model, path)
     return path.read_text()
 
 
@@ -141,15 +133,15 @@ def _load_text(tmp_path, text):
 
 
 def test_trailing_line_after_payload_rejected(tmp_path):
-    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=3)))
+    model = train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=3))
     with pytest.raises(ModelFormatError, match="after the payload"):
-        _load_text(tmp_path, _saved(tmp_path, tm) + "garbage\n")
+        _load_text(tmp_path, _saved(tmp_path, model) + "garbage\n")
 
 
 def test_negative_tree_count_rejected(tmp_path):
-    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=3)))
+    model = train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=3))
     # without its trees, so that no trailing line is left to reject
-    lines = _saved(tmp_path, tm).splitlines()[:-3]
+    lines = _saved(tmp_path, model).splitlines()[:-3]
     assert lines[-1] == "n_trees 3"
     lines[-1] = "n_trees -3"
     with pytest.raises(ModelFormatError, match="negative n_trees"):
@@ -158,8 +150,8 @@ def test_negative_tree_count_rejected(tmp_path):
 
 @pytest.mark.parametrize("tag", ["classes", "iterations"])
 def test_negative_catboost_counts_rejected(tmp_path, tag):
-    tm = TrainedModel("catboost", train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=2)))
-    lines = _saved(tmp_path, tm).splitlines()
+    model = train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=2))
+    lines = _saved(tmp_path, model).splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
     lines[at] = f"{tag} -3"
     with pytest.raises(ModelFormatError, match=f"negative {tag}"):
@@ -168,20 +160,20 @@ def test_negative_catboost_counts_rejected(tmp_path, tag):
 
 @pytest.mark.parametrize("feature", [99, 14, -1])
 def test_split_feature_outside_canonical_list_rejected(tmp_path, feature):
-    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=1)))
-    lines = _saved(tmp_path, tm).splitlines()
+    model = train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=1))
+    lines = _saved(tmp_path, model).splitlines()
     lines[-1] = f"(split 0 415 (leaf 1) (split {feature} 0.5 (leaf 1) (leaf 2)))"
     with pytest.raises(ModelFormatError, match=f"feature {feature}, outside 0..13"):
         _load_text(tmp_path, "\n".join(lines) + "\n")
 
 
 def test_deeply_nested_tree_loads(tmp_path):
-    tm = TrainedModel("gbt", train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=1)))
-    lines = _saved(tmp_path, tm).splitlines()
+    model = train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=1))
+    lines = _saved(tmp_path, model).splitlines()
     lines[-1] = "(split 0 415 " * 3000 + "(leaf -1)" + " (leaf 1))" * 3000
     back = _load_text(tmp_path, "\n".join(lines) + "\n")
     v = np.full(14, 415.0)
-    assert predict_batch(back, v[None, :])[0] == back.model.base_score + back.model.learning_rate
+    assert predict_batch(back, v[None, :])[0] == back.base_score + back.learning_rate
 
 
 def _first_leaf(text, bad):
@@ -215,7 +207,7 @@ _NON_FINITE_EDITS = {
 @pytest.mark.parametrize("target", sorted(_NON_FINITE_EDITS))
 def test_non_finite_model_float_rejected(tmp_path, target, bad):
     train, edit = _NON_FINITE_EDITS[target]
-    text = _saved(tmp_path, TrainedModel(target.split("-")[0], train()))
+    text = _saved(tmp_path, train())
     edited = edit(text, bad)
     assert edited != text
     with pytest.raises(ModelFormatError, match="non-finite"):
@@ -234,7 +226,7 @@ def _widened_mlp(part):
         model.biases[-1] = np.concatenate([model.biases[-1], model.biases[-1]])
     else:
         model.norm = NormStats(stats.mean[:13], stats.std[:13])
-    return TrainedModel("mlp", model)
+    return model
 
 
 @pytest.mark.parametrize("part, message", [

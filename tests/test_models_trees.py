@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from co2fuse.errors import ModelFormatError
 from co2fuse.models import trees
 from co2fuse.models.trees import (
+    Presorted,
     fit_tree,
     predict_tree,
-    presort,
     tree_from_sexpr,
     tree_to_sexpr,
 )
@@ -45,27 +45,24 @@ def tie_prone_problems(draw):
     else:
         hess, reg_lambda = rng.uniform(0.05, 1.0, size=n), 3.0
     max_depth = draw(st.integers(1, 6))
-    min_gain = draw(st.sampled_from((0.0, 0.5)))
-    return X, grad, hess, max_depth, reg_lambda, min_gain
+    return X, grad, hess, max_depth, reg_lambda
 
 
 @settings(max_examples=300, deadline=None)
 @given(tie_prone_problems(), st.sampled_from((1, 7, trees._SCAN_PAIRS)))
 def test_presorted_builder_matches_resorting_oracle(problem, scan_pairs):
-    X, grad, hess, max_depth, reg_lambda, min_gain = problem
+    X, grad, hess, max_depth, reg_lambda = problem
     # small values make the split search take the features a few at a time
     with mock.patch.object(trees, "_SCAN_PAIRS", scan_pairs):
-        tree = fit_tree(X, grad, hess, max_depth, reg_lambda=reg_lambda, min_gain=min_gain)
-    assert tree_to_sexpr(tree) == reference_tree_sexpr(
-        X, grad, hess, max_depth, reg_lambda=reg_lambda, min_gain=min_gain
-    )
+        tree = fit_tree(X, grad, hess, max_depth, reg_lambda=reg_lambda)
+    assert tree_to_sexpr(tree) == reference_tree_sexpr(X, grad, hess, max_depth, reg_lambda)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tie_prone_problems(), st.integers(0, 2**32 - 1))
 def test_one_presort_serves_every_tree_of_a_fit(problem, seed):
-    X, grad, hess, max_depth, reg_lambda, _ = problem
-    shared = presort(X)
+    X, grad, hess, max_depth, reg_lambda = problem
+    shared = Presorted(X)
     rng = np.random.default_rng(seed)
     for g in (grad, rng.normal(size=grad.size), -grad):
         tree = fit_tree(X, g, hess, max_depth, reg_lambda=reg_lambda, presorted=shared)
@@ -77,7 +74,7 @@ def test_one_presort_serves_every_tree_of_a_fit(problem, seed):
 @settings(max_examples=150, deadline=None)
 @given(tie_prone_problems(), st.integers(0, 2**32 - 1))
 def test_predict_matches_row_by_row_walk(problem, seed):
-    X, grad, hess, max_depth, reg_lambda, _ = problem
+    X, grad, hess, max_depth, reg_lambda = problem
     tree = fit_tree(X, grad, hess, max_depth, reg_lambda=reg_lambda)
     rng = np.random.default_rng(seed)
     thresholds, stack = [], [tree]
