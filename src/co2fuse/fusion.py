@@ -44,6 +44,7 @@ from .ingest import (
     WeatherArchive,
     _MicrosByText,
     _TextByMicros,
+    csv_errors,
     epoch_years,
     to_micros,
     write_csv,
@@ -390,13 +391,14 @@ def write_dataset(dataset: Dataset, path) -> None:
 def read_dataset(path) -> Dataset:
     """Read a dataset.csv written by write_dataset. A wrong header or column
     count, a value that does not parse and a non-finite number are each a
-    SchemaError naming the file line of the first bad row."""
+    SchemaError naming the file line of the first bad row. Bytes that are
+    not UTF-8 and CSV syntax errors are a SchemaError naming the file."""
     expected = FEATURE_NAMES + DATASET_EXTRA_COLUMNS
     # the returned columns view these buffers: no second copy of the table
     features, labels, distances = array("d"), array("d"), array("d")
     station_ids, times = [], array("q")
     micros = _MicrosByText()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with csv_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != expected:

@@ -34,6 +34,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
+from .errors import FeatureOrderError
 from .fusion import FEATURE_NAMES
 from .models.trees import leaf_boxes
 
@@ -176,6 +177,9 @@ def shapley_attribution(
         raise ValueError("background must be non-empty")
     if X_rows.shape[0] == 0:
         raise ValueError("need at least one row to explain")
+    if X_rows.shape[1] != len(FEATURE_NAMES):
+        raise FeatureOrderError(
+            f"explained rows have {X_rows.shape[1]} columns, expected {len(FEATURE_NAMES)}")
     mu = X_bg.mean(axis=0)
     if X_rows.shape[0] > max_rows:
         rng = np.random.default_rng(seed)

@@ -29,6 +29,7 @@ import logging
 import math
 import operator
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 from typing import Iterable, Optional
@@ -199,6 +200,18 @@ def _finite(x: float) -> float:
     return x
 
 
+@contextmanager
+def csv_errors(path):
+    """Map undecodable bytes and CSV syntax errors met in the block, such
+    as a field over the csv module's size limit, to SchemaError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from exc
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: CSV parse failure ({exc})") from exc
+
+
 def _rows(path, columns: tuple[str, ...]):
     """Yield (line, fields) for each csv row: the file line that the row ends
     on, and a tuple of the named fields in `columns` order; header problems
@@ -207,29 +220,24 @@ def _rows(path, columns: tuple[str, ...]):
     Rows read as csv.DictReader reads them: the last of duplicate header
     names wins, blank lines are skipped, extra fields are ignored and a short
     row's missing fields read as "", which no field accepts."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file, header row required")
-            position = {name: i for i, name in enumerate(header)}
-            missing = [c for c in columns if c not in position]
-            if missing:
-                raise SchemaError(f"{path}: missing required columns {missing}")
-            positions = [position[c] for c in columns]
-            fields = operator.itemgetter(*positions)
-            width = max(positions) + 1
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue
-                    row += [""] * (width - len(row))
-                yield reader.line_num, fields(row)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from exc
-    except csv.Error as exc:
-        raise SchemaError(f"{path}: CSV parse failure ({exc})") from exc
+    with csv_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file, header row required")
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in position]
+        if missing:
+            raise SchemaError(f"{path}: missing required columns {missing}")
+        positions = [position[c] for c in columns]
+        fields = operator.itemgetter(*positions)
+        width = max(positions) + 1
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row += [""] * (width - len(row))
+            yield reader.line_num, fields(row)
 
 
 def _corrupt_gate(path, total: int, malformed: int, what: str) -> None:

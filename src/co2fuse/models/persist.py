@@ -10,11 +10,12 @@ Layout (one logical section per line group):
 All floats are written with 17 significant digits so save/load round-trips
 reproduce predictions bit for bit. Trees are stored as s-expression lists,
 MLP weight matrices row-major.
+
+``load`` checks each value once, as it parses it, and names the file and
+line of any error as ``path:line:``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .baseline import LinearModel
 from .category import DECODE_MODES, CatModel
 from .gbt import GbtModel
 from .mlp import MlpModel
-from .trees import TreeNode, tree_from_sexpr, tree_to_sexpr
+from .trees import tree_from_sexpr, tree_to_sexpr
 
 MAGIC = "CO2FUSE-MODEL"
 FORMAT_VERSION = "v1"
@@ -93,168 +94,123 @@ def save(model: Model, path) -> None:
 
 
 class _LineReader:
+    """A model file's lines, read in order; ``pos`` counts the lines read.
+    Each line is decoded as UTF-8 when it is read."""
+
     def __init__(self, path):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             self.lines = fh.read().splitlines()
         self.pos = 0
-        self.path = path
 
     def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(f"{self.path}: truncated model file")
-        line = self.lines[self.pos]
         self.pos += 1
-        return line
+        if self.pos > len(self.lines):
+            raise ModelFormatError("truncated model file")
+        return self.lines[self.pos - 1].decode("utf-8")
 
     def tagged(self, tag: str) -> list[str]:
+        """The words after ``tag``, which must lead the next line."""
         line = self.next()
-        parts = line.split()
-        if not parts or parts[0] != tag:
-            raise ModelFormatError(f"{self.path}: expected {tag!r} line, got {line!r}")
-        return parts[1:]
+        parts, words = line.split(), tag.split()
+        if parts[:len(words)] != words:
+            raise ModelFormatError(f"expected {tag!r} line, got {line!r}")
+        return parts[len(words):]
 
     def count(self, tag: str) -> int:
         value = int(self.tagged(tag)[0])
         if value < 0:
-            raise ModelFormatError(f"{self.path}: negative {tag} {value}")
+            raise ModelFormatError(f"negative {tag} {value}")
         return value
 
-    def tree(self) -> TreeNode:
-        """Parse the next line as a tree whose splits read canonical features
-        and whose thresholds and leaves are finite."""
-        root = tree_from_sexpr(self.next())
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                if not math.isfinite(node.value):
-                    raise ModelFormatError(f"{self.path}: non-finite leaf value {node.value}")
-                continue
-            if not 0 <= node.feature < len(FEATURE_NAMES):
-                raise ModelFormatError(
-                    f"{self.path}: split on feature {node.feature}, "
-                    f"outside 0..{len(FEATURE_NAMES) - 1}"
-                )
-            if not math.isfinite(node.threshold):
-                raise ModelFormatError(f"{self.path}: non-finite threshold {node.threshold}")
-            stack += [node.left, node.right]
-        return root
-
-    def finite(self, values, what: str):
-        """``values`` unchanged if every one is finite (nan and inf parse as
-        floats, but no trained model holds them)."""
-        if not np.all(np.isfinite(values)):
-            raise ModelFormatError(f"{self.path}: non-finite {what}")
+    def floats(self, tag: str, n: int, what: str = "{tag!r} line holds {} values") -> np.ndarray:
+        """The numbers after ``tag`` on the next line: exactly ``n``, each
+        finite (nan and inf parse as floats, but no trained model holds
+        them). ``what`` words the count error."""
+        values = np.array([float(v) for v in self.tagged(tag)], dtype=np.float64)
+        if values.size != n:
+            raise ModelFormatError(what.format(values.size, tag=tag) + f", expected {n}")
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"non-finite number {values[~np.isfinite(values)][0]}")
         return values
 
     def scalar(self, tag: str) -> float:
-        return self.finite(float(self.tagged(tag)[0]), tag)
-
-    def floats(self, tag: str) -> np.ndarray:
-        try:
-            values = np.array([float(v) for v in self.tagged(tag)], dtype=np.float64)
-        except ValueError as exc:
-            raise ModelFormatError(f"{self.path}: bad float in {tag!r} line") from exc
-        return self.finite(values, tag)
+        return float(self.floats(tag, 1)[0])
 
 
 def load(path) -> Model:
     """Load a model file. A features line other than the canonical names in
-    order raises FeatureOrderError. Bad magic, version or payload, a negative
-    count, a split on a feature outside the canonical list, normstats or MLP
-    layers of the wrong width, a nan or infinite float or a line after the
-    payload raise ModelFormatError."""
+    order raises FeatureOrderError. Bad magic, version or payload, bytes that
+    are not UTF-8, a negative count, a split on a feature outside the
+    canonical list, a number line of the wrong length, a nan or infinite
+    number, a normstats std that is not positive or a line after the payload
+    raise ModelFormatError. Either error starts with ``path:line:``."""
     r = _LineReader(path)
+    try:
+        return _read(r)
+    except (FeatureOrderError, ModelFormatError, ValueError, IndexError) as exc:
+        error = FeatureOrderError if isinstance(exc, FeatureOrderError) else ModelFormatError
+        raise error(f"{path}:{r.pos}: {exc}") from exc
+
+
+def _read(r: _LineReader) -> Model:
+    n_features = len(FEATURE_NAMES)
     head = r.next().split()
     if len(head) != 3 or head[0] != MAGIC:
-        raise ModelFormatError(f"{path}: not a model file (bad magic line)")
+        raise ModelFormatError("not a model file (bad magic line)")
     if head[1] != FORMAT_VERSION:
         raise ModelFormatError(
-            f"{path}: unsupported format version {head[1]!r} (expected {FORMAT_VERSION})"
-        )
+            f"unsupported format version {head[1]!r} (expected {FORMAT_VERSION})")
     kind = head[2]
     if kind not in MODEL_KINDS:
-        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+        raise ModelFormatError(f"unknown model kind {kind!r}")
     features = tuple(r.tagged("features"))
     if features != FEATURE_NAMES:
-        raise FeatureOrderError(
-            f"{path}: model was saved with feature order {features}, "
-            f"expected the canonical order {FEATURE_NAMES}"
-        )
+        raise FeatureOrderError(f"model was saved with feature order {features}, "
+                                f"expected the canonical order {FEATURE_NAMES}")
 
     norm = None
-    marker = r.next()
-    if marker.strip() != "normstats none":
+    if r.next().strip() != "normstats none":
         r.pos -= 1
-        mean = r.floats("normstats-mean")
-        std = r.floats("normstats-std")
-        if mean.shape != std.shape:
-            raise ModelFormatError(f"{path}: normstats mean/std length mismatch")
-        if len(mean) != len(FEATURE_NAMES):
-            raise ModelFormatError(
-                f"{path}: normstats hold {len(mean)} features, expected {len(FEATURE_NAMES)}")
+        width = "normstats hold {} features"
+        mean = r.floats("normstats-mean", n_features, width)
+        std = r.floats("normstats-std", n_features, width)
+        if not (std > 0).all():
+            raise ModelFormatError(f"normstats-std {std[~(std > 0)][0]} is not positive")
         norm = NormStats(mean=mean, std=std)
 
-    try:
-        if kind == "baseline":
-            slope = r.scalar("slope")
-            intercept = r.scalar("intercept")
-            model: Model = LinearModel(slope=slope, intercept=intercept)
-        elif kind == "gbt":
-            base = r.scalar("base_score")
-            lr = r.scalar("learning_rate")
-            n_trees = r.count("n_trees")
-            trees = [r.tree() for _ in range(n_trees)]
-            model = GbtModel(base_score=base, learning_rate=lr, trees=trees)
-        elif kind == "catboost":
-            k = r.count("classes")
-            lr = r.scalar("learning_rate")
-            decode = r.tagged("decode")[0]
-            if decode not in DECODE_MODES:
-                raise ModelFormatError(f"{path}: unknown decode mode {decode!r}")
-            edges = r.floats("edges")
-            centers = r.floats("centers")
-            if len(edges) != k + 1 or len(centers) != k:
-                raise ModelFormatError(f"{path}: bin edge/center counts do not match classes")
-            iterations = r.count("iterations")
-            trees = [
-                [r.tree() for _ in range(k)] for _ in range(iterations)
-            ]
-            model = CatModel(
-                bin_edges=edges, bin_centers=centers, learning_rate=lr,
-                decode=decode, trees=trees,
-            )
-        elif kind == "mlp":
-            l2 = r.scalar("l2_lambda")
-            sizes = [int(s) for s in r.tagged("layers")]
-            if len(sizes) < 2:
-                raise ModelFormatError(f"{path}: mlp needs at least two layer sizes")
-            if sizes[0] != len(FEATURE_NAMES) or sizes[-1] != 1:
-                raise ModelFormatError(f"{path}: mlp layers {sizes} must run from "
-                                       f"{len(FEATURE_NAMES)} inputs to 1 output")
-            weights = []
-            biases = []
-            for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-                dims = r.tagged("W")
-                if [int(dims[0]), int(dims[1])] != [n_in, n_out]:
-                    raise ModelFormatError(f"{path}: weight matrix shape mismatch")
-                rows = [
-                    [float(v) for v in r.next().split()] for _ in range(n_in)
-                ]
-                w = np.array(rows, dtype=np.float64)
-                if w.shape != (n_in, n_out):
-                    raise ModelFormatError(f"{path}: weight matrix row length mismatch")
-                r.finite(w, "weight")
-                bias_parts = r.tagged("b")
-                bias_vals = np.array([float(v) for v in bias_parts[1:]], dtype=np.float64)
-                if int(bias_parts[0]) != n_out or bias_vals.shape != (n_out,):
-                    raise ModelFormatError(f"{path}: bias length mismatch")
-                r.finite(bias_vals, "bias")
-                weights.append(w)
-                biases.append(bias_vals)
-            model = MlpModel(weights=weights, biases=biases, l2_lambda=l2, norm=norm)
-    except (ValueError, IndexError) as exc:
-        raise ModelFormatError(f"{path}: malformed payload ({exc})") from exc
-    if r.pos != len(r.lines):
-        raise ModelFormatError(f"{path}: unexpected line {r.pos + 1} after the payload")
+    tree = lambda: tree_from_sexpr(r.next(), n_features)
+    if kind == "baseline":
+        model: Model = LinearModel(slope=r.scalar("slope"), intercept=r.scalar("intercept"))
+    elif kind == "gbt":
+        base = r.scalar("base_score")
+        lr = r.scalar("learning_rate")
+        trees = [tree() for _ in range(r.count("n_trees"))]
+        model = GbtModel(base_score=base, learning_rate=lr, trees=trees)
+    elif kind == "catboost":
+        k = r.count("classes")
+        lr = r.scalar("learning_rate")
+        decode = r.tagged("decode")[0]
+        if decode not in DECODE_MODES:
+            raise ModelFormatError(f"unknown decode mode {decode!r}")
+        edges = r.floats("edges", k + 1)
+        centers = r.floats("centers", k)
+        trees = [[tree() for _ in range(k)] for _ in range(r.count("iterations"))]
+        model = CatModel(bin_edges=edges, bin_centers=centers, learning_rate=lr,
+                         decode=decode, trees=trees)
+    else:
+        l2 = r.scalar("l2_lambda")
+        sizes = [int(s) for s in r.tagged("layers")]
+        if len(sizes) < 2 or sizes[0] != n_features or sizes[-1] != 1 or min(sizes) < 1:
+            raise ModelFormatError(f"mlp layers {sizes} must run from {n_features} "
+                                   f"inputs to 1 output, none of them empty")
+        weights, biases = [], []
+        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+            r.floats(f"W {n_in} {n_out}", 0)  # the block's tag line holds no numbers
+            rows = [r.floats("", n_out, "weight row holds {} values") for _ in range(n_in)]
+            weights.append(np.array(rows, dtype=np.float64))
+            biases.append(r.floats(f"b {n_out}", n_out))
+        model = MlpModel(weights=weights, biases=biases, l2_lambda=l2, norm=norm)
+    if r.pos < len(r.lines):
+        r.pos += 1
+        raise ModelFormatError("unexpected line after the payload")
     return model

@@ -22,10 +22,13 @@ matrix, as the boosted models do, to share one copy across a batch's trees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ..errors import ModelFormatError
 
 # gains below this are treated as numerically zero
 _GAIN_EPS = 1e-12
@@ -273,11 +276,11 @@ def tree_to_sexpr(root: TreeNode) -> str:
     return "".join(parts)
 
 
-def tree_from_sexpr(text: str) -> TreeNode:
+def tree_from_sexpr(text: str, n_features: int) -> TreeNode:
     """Parse ``tree_to_sexpr`` output with an explicit stack, so any nesting
-    depth parses; malformed text raises ModelFormatError."""
-    from ..errors import ModelFormatError
-
+    depth parses. Malformed text, a split on a feature outside
+    0..n_features-1 and a non-finite threshold or leaf raise
+    ModelFormatError as their token is read."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
@@ -297,6 +300,12 @@ def tree_from_sexpr(text: str) -> TreeNode:
         pos += 1
         return tokens[pos - 1]
 
+    def finite(what):
+        value = float(take())
+        if not math.isfinite(value):
+            fail(f"non-finite {what} {value}")
+        return value
+
     # splits still missing a child, innermost last: (feature, threshold, [left])
     open_splits: list[tuple[int, float, list[TreeNode]]] = []
     try:
@@ -304,11 +313,14 @@ def tree_from_sexpr(text: str) -> TreeNode:
             expect("(")
             head = take()
             if head == "split":
-                open_splits.append((int(take()), float(take()), []))
+                feature = int(take())
+                if not 0 <= feature < n_features:
+                    fail(f"split on feature {feature}, outside 0..{n_features - 1}")
+                open_splits.append((feature, finite("threshold"), []))
                 continue
             if head != "leaf":
                 fail(f"unknown node kind {head!r}")
-            node = TreeNode.leaf(float(take()))
+            node = TreeNode.leaf(finite("leaf value"))
             expect(")")
             # a finished right child finishes its parent, and so on upwards
             while open_splits and open_splits[-1][2]:

@@ -135,6 +135,19 @@ def test_train_on_non_finite_label_exit_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_train_on_station_id_over_the_csv_field_limit_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[len(fusion.FEATURE_NAMES) + 1] = "S" * 140_000
+    lines[5] = ",".join(fields)
+    (tmp_path / "d.csv").write_text("".join(lines), encoding="utf-8")
+    code = run("train", "--dataset", str(tmp_path / "d.csv"), "--model", "baseline",
+               "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert "d.csv: CSV parse failure" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 # each train option that not every model kind reads, with a non-default value
 KIND_OPTIONS = {
     "epochs": ("2", ("mlp",)),
@@ -437,6 +450,19 @@ def test_evaluate_edited_gbt_model_exit_code(workdir, tmp_path, edit, code):
         "evaluate", "--dataset", str(workdir / "dataset.csv"),
         "--model-file", str(model), "--holdout-stations", "ST01",
     ) == code
+
+
+def test_evaluate_names_the_file_and_line_of_a_bad_tree(workdir, tmp_path, capsys):
+    lines = (workdir / "gbt.model").read_text().splitlines()
+    lines[-2] = lines[-2][:-1]  # the fourth tree one closing parenthesis short
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(lines) + "\n")
+    code = run(
+        "evaluate", "--dataset", str(workdir / "dataset.csv"),
+        "--model-file", f"{workdir / 'gbt.model'},{bad}", "--holdout-stations", "ST01",
+    )
+    assert code == 2
+    assert f"{bad}:{len(lines) - 1}: bad tree expression" in capsys.readouterr().err
 
 
 def _run_subprocess(*argv, python_flags=()):

@@ -381,6 +381,27 @@ def test_dataset_error_names_the_file_line_past_a_quoted_newline(tmp_path, value
         fusion.read_dataset(path)
 
 
+def _long_station_id(path):
+    # over the csv module's 131,072-character field limit
+    _edit_dataset_field(path, 3, "station_id", "S" * 140_000)
+
+
+def _undecodable_byte(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:3] + [b"\xff" + lines[3]] + lines[4:]))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_long_station_id, "CSV parse failure"), (_undecodable_byte, "not valid UTF-8"),
+], ids=["field-over-limit", "byte-xff"])
+def test_dataset_csv_syntax_error_and_bad_bytes_are_schema_errors(tmp_path, edit, message):
+    path = tmp_path / "dataset.csv"
+    fusion.write_dataset(_toy_dataset(), path)
+    edit(path)
+    with pytest.raises(SchemaError, match=rf"dataset\.csv: {message}"):
+        fusion.read_dataset(path)
+
+
 def test_match_config_validation():
     with pytest.raises(ValueError):
         MatchConfig(max_distance_km=0.0)

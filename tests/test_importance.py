@@ -17,6 +17,7 @@ from co2fuse.models import (
     GbtConfig,
     GbtModel,
     LinearModel,
+    MlpModel,
     TreeNode,
     predict_batch,
     train_gbt,
@@ -170,6 +171,18 @@ def test_gbt_report_matches_enumeration_and_checks_feature_order():
     assert report.baseline == float(f(mu[None, :])[0])
     with pytest.raises(FeatureOrderError):
         shapley_attribution(tm, X[:3, :13], X[:, :13])
+
+
+@pytest.mark.parametrize("kind", ["gbt", "mlp"])
+def test_explained_rows_of_another_width_raise_feature_order_error(kind):
+    X = rng.normal(415, 4, size=(40, 14))
+    if kind == "gbt":
+        tm = train_gbt(X, X[:, 0], GbtConfig(n_estimators=2))
+    else:
+        tm = MlpModel(weights=[np.full((14, 1), 0.1)], biases=[np.zeros(1)], l2_lambda=0.0)
+    for rows in (X[:3, :13], np.hstack([X[:3], X[:3, :1]])):
+        with pytest.raises(FeatureOrderError, match="explained rows have"):
+            shapley_attribution(tm, rows, X)
 
 
 def test_row_subsample_deterministic():

@@ -9,6 +9,7 @@ from co2fuse.models import (
     CatBoostConfig,
     GbtConfig,
     MlpConfig,
+    MlpModel,
     load,
     predict_batch,
     save,
@@ -188,6 +189,16 @@ def _first_weight(text, bad):
     return re.sub(r"(\nW \d+ \d+\n)\S+", rf"\g<1>{bad}", text, count=1)
 
 
+def _first_value(tag):
+    """An edit that replaces the first number after ``tag`` (a regex)."""
+    return lambda text, bad: re.sub(rf"(\n{tag} )\S+", rf"\g<1>{bad}", text, count=1)
+
+
+def _mlp_with_norm():
+    stats = fit_norm_stats(X_TRAIN)
+    return train_mlp(standardize(X_TRAIN, stats), Y_TRAIN, MlpConfig(epochs=1), norm=stats)
+
+
 _NON_FINITE_EDITS = {
     "gbt-leaf": (lambda: train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=2)), _first_leaf),
     "gbt-threshold": (
@@ -200,6 +211,13 @@ _NON_FINITE_EDITS = {
     "catboost-leaf": (
         lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=1)), _first_leaf
     ),
+    "baseline-slope": (lambda: train_baseline(X_TRAIN, Y_TRAIN), _first_value("slope")),
+    "normstats-mean": (_mlp_with_norm, _first_value("normstats-mean")),
+    "catboost-edges": (
+        lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=1)),
+        _first_value("edges"),
+    ),
+    "mlp-bias": (_mlp_with_norm, _first_value(r"b \d+")),
 }
 
 
@@ -238,4 +256,29 @@ def test_model_of_wrong_width_rejected(tmp_path, part, message):
     path = tmp_path / "m.model"
     save(_widened_mlp(part), path)
     with pytest.raises(ModelFormatError, match=message):
+        load(path)
+
+
+@pytest.mark.parametrize("std", ["0", "-1", "-0"])
+def test_non_positive_normstats_std_rejected(tmp_path, std):
+    text = _saved(tmp_path, _mlp_with_norm())
+    edited = _first_value("normstats-std")(text, std)
+    assert edited != text
+    with pytest.raises(ModelFormatError, match=r"edited\.model:4: normstats-std .* not positive"):
+        _load_text(tmp_path, edited)
+
+
+def test_model_file_that_is_not_utf8_rejected_at_its_line(tmp_path):
+    path = tmp_path / "m.model"
+    save(train_baseline(X_TRAIN, Y_TRAIN), path)
+    path.write_bytes(path.read_bytes().replace(b"\nintercept", b"\ninter\xffcept"))
+    with pytest.raises(ModelFormatError, match=r"m\.model:5: .*can't decode byte 0xff"):
+        load(path)
+
+
+def test_mlp_layer_of_zero_width_rejected(tmp_path):
+    path = tmp_path / "m.model"
+    save(MlpModel(weights=[np.zeros((14, 0)), np.zeros((0, 1))],
+                  biases=[np.zeros(0), np.ones(1)], l2_lambda=0.0), path)
+    with pytest.raises(ModelFormatError, match=r"m\.model:5: mlp layers \[14, 0, 1\]"):
         load(path)

@@ -98,7 +98,7 @@ def _chain(depth: int) -> str:
 
 def test_deep_expression_parses_and_round_trips():
     text = _chain(3000)
-    tree = tree_from_sexpr(text)
+    tree = tree_from_sexpr(text, 1)
     assert tree_depth(tree) == 3000
     assert tree_to_sexpr(tree) == text
     assert predict_tree(tree, np.array([[0.0], [1.0]])).tolist() == [1.0, 2.0]
@@ -119,4 +119,4 @@ def test_deep_expression_parses_and_round_trips():
 )
 def test_malformed_expression_raises_model_format_error(text):
     with pytest.raises(ModelFormatError):
-        tree_from_sexpr(text)
+        tree_from_sexpr(text, 1)
