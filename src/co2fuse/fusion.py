@@ -6,17 +6,17 @@ nearest weather sample becomes one row of the dataset, a column table
 (`Dataset`) of 14 features and the station CO2 label. Train/test splits are
 by whole stations, through one boolean mask, to prevent spatial leakage.
 
-Both joins are batched over all soundings. Haversine distances from the
-soundings to the weather nodes (or the stations) are computed in blocks of
-_CHUNK_ROWS soundings. For weather, every node at a sounding's exact minimum
-distance is searched (`searchsorted` on its int64 microsecond times) and the
-winner minimizes (|dt|, time), earlier nodes winning full ties. For stations,
-each station's nearest observation is checked against the time window and
-the first qualifying station in (distance, station_id) order wins. The
-station series and the weather archive are column tables, so a match is a
-series row and a weather winner an archive row, and the features and
-labels are gathered from those columns. `nearest_weather` and
-`assemble_features` are the one-sounding cases of the same code.
+Each entry point turns its sounding records into columns once: the first
+five feature columns (xco2 .. time_epoch_years) and the int64 UTC
+microsecond times. The joins read those columns, batched over all soundings,
+with haversine distances computed in blocks of _CHUNK_ROWS soundings. For
+weather, every node at a sounding's exact minimum distance is searched
+(`searchsorted` on its times) and the winner minimizes (|dt|, time), earlier
+nodes winning full ties; its nine fields complete the 14 features. For
+stations, one stable lexsort orders the series rows by (station in id order,
+time), with per-station offsets as in `WeatherArchive.node_offsets`; each
+station's nearest observation is checked against the time window and the
+first qualifying station in (distance, station_id) order wins.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .ingest import (
     WeatherArchive,
     _MicrosByText,
     _TextByMicros,
+    _in_blocks,
     csv_errors,
     epoch_years,
     to_micros,
@@ -122,11 +124,17 @@ class NormStats:
 _CHUNK_ROWS = 512
 
 
-def _sounding_columns(soundings: list[SoundingRecord]):
-    """Latitudes, longitudes and int64 UTC microsecond times of records."""
-    lat = np.array([s.location.latitude for s in soundings], dtype=np.float64)
-    lon = np.array([s.location.longitude for s in soundings], dtype=np.float64)
-    return lat, lon, to_micros([s.time for s in soundings])
+def _sounding_table(soundings: list[SoundingRecord]):
+    """The first five feature columns of records (xco2 .. time_epoch_years)
+    as an (n, 5) array, and the records' int64 UTC microsecond times."""
+    S = np.empty((len(soundings), 5))
+    S[:, 0] = [s.xco2 for s in soundings]
+    S[:, 1] = [s.xco2_uncertainty for s in soundings]
+    S[:, 2] = [s.location.latitude for s in soundings]
+    S[:, 3] = [s.location.longitude for s in soundings]
+    t = to_micros([s.time for s in soundings])
+    S[:, 4] = epoch_years(t)
+    return S, t
 
 
 def _distance_blocks(lat, lon, target_lat, target_lon):
@@ -183,35 +191,22 @@ def _stale(dist, dt):
     return (dist > STALE_WEATHER_KM) | (dt > STALE_WEATHER_HOURS * 3600.0)
 
 
-def _features(soundings: list[SoundingRecord], lat, lon, t, weather: np.ndarray) -> np.ndarray:
-    """The (n, 14) canonical feature matrix: sounding columns, then weather."""
-    X = np.empty((len(soundings), N_FEATURES))
-    X[:, 0] = [s.xco2 for s in soundings]
-    X[:, 1] = [s.xco2_uncertainty for s in soundings]
-    X[:, 2] = lat
-    X[:, 3] = lon
-    X[:, 4] = epoch_years(t)
-    X[:, 5:] = weather
-    return X
-
-
-def weather_features(
-    soundings: list[SoundingRecord], archive: WeatherArchive
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows of the soundings whose nearest weather is usable.
-
-    Returns (X, usable): X has one row per True entry of the boolean mask
-    `usable`, in sounding order. Nothing is usable in an empty archive, and
-    a winner farther than 2 degrees of arc or more than 6 hours is stale.
-    """
-    lat, lon, t = _sounding_columns(soundings)
-    if len(archive) == 0 or not soundings:
-        return np.empty((0, N_FEATURES)), np.zeros(len(soundings), dtype=bool)
-    row, dist, dt = _join_weather(lat, lon, t, archive)
+def _with_weather(S: np.ndarray, t: np.ndarray, archive: WeatherArchive):
+    """(X, usable): the 14 features of the rows of the sounding table S (times
+    `t`) whose nearest weather is usable, and that mask. Nothing in an empty
+    archive is usable, nor a winner farther than 2 degrees or 6 hours."""
+    if len(archive) == 0 or not len(S):
+        return np.empty((0, N_FEATURES)), np.zeros(len(S), dtype=bool)
+    row, dist, dt = _join_weather(S[:, 2], S[:, 3], t, archive)
     usable = ~_stale(dist, dt)
-    kept = [s for s, ok in zip(soundings, usable) if ok]
-    weather = archive.values[row[usable]]
-    return _features(kept, lat[usable], lon[usable], t[usable], weather), usable
+    return np.hstack((S[usable], archive.values[row[usable]])), usable
+
+
+def weather_features(soundings: list[SoundingRecord],
+                     archive: WeatherArchive) -> tuple[np.ndarray, np.ndarray]:
+    """(X, usable): the feature rows, in sounding order, of the soundings
+    whose nearest weather is usable, and the boolean mask of those."""
+    return _with_weather(*_sounding_table(soundings), archive)
 
 
 def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> np.ndarray:
@@ -224,7 +219,8 @@ def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> np.nda
     """
     if len(archive) == 0:
         raise NoDataError("weather archive is empty")
-    (row,), (dmin,), (dt,) = _join_weather(*_sounding_columns([sounding]), archive)
+    S, t = _sounding_table([sounding])
+    (row,), (dmin,), (dt,) = _join_weather(S[:, 2], S[:, 3], t, archive)
     if _stale(dmin, dt):
         raise StaleWeatherError(
             f"nearest weather sample is {dmin:.1f} km / {dt / 3600.0:.1f} h away "
@@ -236,30 +232,16 @@ def nearest_weather(sounding: SoundingRecord, archive: WeatherArchive) -> np.nda
 def assemble_features(sounding: SoundingRecord, weather: np.ndarray) -> np.ndarray:
     """Build the canonical 14-feature vector for one sounding and the nine
     fields of its weather sample."""
-    lat, lon, t = _sounding_columns([sounding])
-    return _features([sounding], lat, lon, t, weather[None, :])[0]
-
-
-def _series_by_station(series: StationSeries) -> dict[str, tuple]:
-    """Station id -> (sorted int64 times, the series rows in that order);
-    equal times keep input order."""
-    by_station: dict[str, list[int]] = {}
-    for i, sid in enumerate(series.station_id.tolist()):
-        by_station.setdefault(sid, []).append(i)
-    index = {}
-    for sid, rows in by_station.items():
-        rows = np.array(rows)[np.argsort(series.time[rows], kind="stable")]
-        index[sid] = (series.time[rows], rows)
-    return index
+    S, _ = _sounding_table([sounding])
+    return np.concatenate((S[0], weather))
 
 
 def match_stations(
-    soundings: list[SoundingRecord],
-    catalog: list[Station],
-    series: StationSeries,
-    cfg: MatchConfig = MatchConfig(),
+    lat: np.ndarray, lon: np.ndarray, t: np.ndarray,
+    catalog: list[Station], series: StationSeries, cfg: MatchConfig = MatchConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Match each sounding to the spatially nearest qualifying station.
+    """Match each sounding, given as latitude, longitude and int64 UTC
+    microsecond time columns, to the spatially nearest qualifying station.
 
     A station qualifies if it is within cfg.max_distance_km and has at least
     one observation within +/- cfg.max_time_minutes of the sounding time; the
@@ -268,34 +250,38 @@ def match_stations(
     the series row of its observation (both -1 when nothing qualifies), and
     the distance in km (nan).
     """
-    station = np.full(len(soundings), -1)
-    obs = np.full(len(soundings), -1)
-    dist = np.full(len(soundings), np.nan)
+    station, obs = np.full((2, len(t)), -1)
+    dist = np.full(len(t), np.nan)
     if not catalog:
         return station, obs, dist
-    lat, lon, t = _sounding_columns(soundings)
+    # column c of the distance blocks is catalog[order[c]], in station_id order
     order = np.array(sorted(range(len(catalog)), key=lambda k: catalog[k].station_id))
-    index = _series_by_station(series)
+    column = {catalog[k].station_id: c for c, k in enumerate(order)}
+    col = np.fromiter(map(column.get, series.station_id, repeat(-1)), np.int64, len(series))
+    # series rows by (column, time), equal times in input order; column c
+    # owns by_time[offsets[c]:offsets[c + 1]], rows of other stations lead
+    by_time = np.lexsort((series.time, col))
+    offsets = np.searchsorted(col, np.arange(len(order) + 1), sorter=by_time)
+    times = series.time[by_time]
     lats = np.array([catalog[k].location.latitude for k in order])
     lons = np.array([catalog[k].location.longitude for k in order])
     for rows, d in _distance_blocks(lat, lon, lats, lons):
-        ok = d <= cfg.max_distance_km
+        # a station without observations never qualifies
+        ok = (d <= cfg.max_distance_km) & (np.diff(offsets) > 0)
         cand = np.zeros(d.shape, dtype=np.int64)
-        for col, k in enumerate(order):
-            found = index.get(catalog[k].station_id)
-            if found is None:
-                ok[:, col] = False
-                continue
-            cand[:, col], dt = _nearest_time(found[0], t[rows])
-            ok[:, col] &= dt <= cfg.max_time_minutes * 60.0
+        for c in np.flatnonzero(np.diff(offsets)):
+            lo, hi = offsets[c], offsets[c + 1]
+            idx, dt = _nearest_time(times[lo:hi], t[rows])
+            cand[:, c] = lo + idx
+            ok[:, c] &= dt <= cfg.max_time_minutes * 60.0
         # columns are in station_id order, so argmin keeps the smaller id
         best = np.where(ok, d, np.inf).argmin(axis=1)
         at = np.arange(len(best))
-        for i in np.flatnonzero(ok[at, best]):
-            k = order[best[i]]
-            station[rows.start + i] = k
-            obs[rows.start + i] = index[catalog[k].station_id][1][cand[i, best[i]]]
-            dist[rows.start + i] = d[i, best[i]]
+        won = ok[at, best]
+        # basic slices are views, so these masked writes land in the results
+        station[rows][won] = order[best[won]]
+        obs[rows][won] = by_time[cand[at, best][won]]
+        dist[rows][won] = d[at, best][won]
     return station, obs, dist
 
 
@@ -312,9 +298,10 @@ def build_dataset(
     are skipped and counted. Rows are ordered by (sounding time, station_id),
     equal keys in sounding order. Raises EmptyDatasetError on zero matches.
     """
-    station, obs, dist = match_stations(soundings, catalog, series, cfg)
+    S, t = _sounding_table(soundings)
+    station, obs, dist = match_stations(S[:, 2], S[:, 3], t, catalog, series, cfg)
     matched = np.flatnonzero(station >= 0)
-    X, usable = weather_features([soundings[i] for i in matched], archive)
+    X, usable = _with_weather(S[matched], t[matched], archive)
     kept = matched[usable]
     total = len(soundings)
     unmatched = total - len(matched)
@@ -333,9 +320,8 @@ def build_dataset(
     ids = np.array([catalog[k].station_id for k in station[kept]], dtype=object)
     # rank the ids in Python's string order: numpy's <U strings drop trailing NULs
     rank = {sid: r for r, sid in enumerate(sorted(set(ids)))}
-    time = to_micros([soundings[i].time for i in kept])
-    order = np.lexsort((np.array([rank[sid] for sid in ids], dtype=np.int64), time))
-    return Dataset(X, series.co2[obs[kept]], ids, time, dist[kept]).rows(order)
+    order = np.lexsort((np.array([rank[sid] for sid in ids], dtype=np.int64), t[kept]))
+    return Dataset(X, series.co2[obs[kept]], ids, t[kept], dist[kept]).rows(order)
 
 
 def split_by_station(dataset: Dataset, holdout_ids: set[str]) -> tuple[Dataset, Dataset]:
@@ -380,12 +366,15 @@ DATASET_EXTRA_COLUMNS = ("label_ppm", "station_id", "time_utc", "distance_km")
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Cache a dataset as CSV: the 14 canonical features plus label columns."""
-    numbers = (map(repr, c.tolist()) for c in (*dataset.X.T, dataset.y))
-    write_csv(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, zip(
-        *numbers, dataset.station_id.tolist(),
-        map(_TextByMicros().__getitem__, dataset.time.tolist()),
-        map(repr, dataset.distance_km.tolist()),
-    ))
+    texts = _TextByMicros()
+
+    def rows_of(block):
+        d = dataset.rows(block)
+        numbers = (map(repr, c.tolist()) for c in (*d.X.T, d.y))
+        return zip(*numbers, d.station_id.tolist(), map(texts.__getitem__, d.time.tolist()),
+                   map(repr, d.distance_km.tolist()))
+
+    write_csv(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, _in_blocks(len(dataset), rows_of))
 
 
 def read_dataset(path) -> Dataset:

@@ -439,9 +439,9 @@ def write_station_catalog(stations: Iterable[Station], path) -> None:
     ))
 
 
-# rows formatted at a time by the column writers, so that only one block's
-# texts are alive
-_WRITE_BLOCK_ROWS = 4096
+# rows formatted at a time by the column writers (the campaign files and
+# dataset.csv), so that only one block's numbers and texts are alive
+_WRITE_BLOCK_ROWS = 1024
 
 
 def _in_blocks(n: int, rows_of):

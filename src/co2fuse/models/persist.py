@@ -116,8 +116,15 @@ class _LineReader:
             raise ModelFormatError(f"expected {tag!r} line, got {line!r}")
         return parts[len(words):]
 
+    def word(self, tag: str) -> str:
+        """The one word after ``tag`` on the next line."""
+        words = self.tagged(tag)
+        if len(words) != 1:
+            raise ModelFormatError(f"{tag!r} line holds {len(words)} words, expected 1")
+        return words[0]
+
     def count(self, tag: str) -> int:
-        value = int(self.tagged(tag)[0])
+        value = int(self.word(tag))
         if value < 0:
             raise ModelFormatError(f"negative {tag} {value}")
         return value
@@ -140,14 +147,15 @@ class _LineReader:
 def load(path) -> Model:
     """Load a model file. A features line other than the canonical names in
     order raises FeatureOrderError. Bad magic, version or payload, bytes that
-    are not UTF-8, a negative count, a split on a feature outside the
+    are not UTF-8, a negative count, a catboost classes count below 2, a
+    count or decode line not of one word, a split on a feature outside the
     canonical list, a number line of the wrong length, a nan or infinite
     number, a normstats std that is not positive or a line after the payload
     raise ModelFormatError. Either error starts with ``path:line:``."""
     r = _LineReader(path)
     try:
         return _read(r)
-    except (FeatureOrderError, ModelFormatError, ValueError, IndexError) as exc:
+    except (FeatureOrderError, ModelFormatError, ValueError) as exc:
         error = FeatureOrderError if isinstance(exc, FeatureOrderError) else ModelFormatError
         raise error(f"{path}:{r.pos}: {exc}") from exc
 
@@ -188,8 +196,10 @@ def _read(r: _LineReader) -> Model:
         model = GbtModel(base_score=base, learning_rate=lr, trees=trees)
     elif kind == "catboost":
         k = r.count("classes")
+        if k < 2:
+            raise ModelFormatError(f"classes {k} is below 2, the fewest a catboost model bins")
         lr = r.scalar("learning_rate")
-        decode = r.tagged("decode")[0]
+        decode = r.word("decode")
         if decode not in DECODE_MODES:
             raise ModelFormatError(f"unknown decode mode {decode!r}")
         edges = r.floats("edges", k + 1)

@@ -637,6 +637,23 @@ def test_build_dataset_empty_weather_window_exit_3(small_campaign_dir, tmp_path,
     assert "(930 soundings, 785 unmatched, 145 stale-weather)" in capsys.readouterr().err
 
 
+def test_build_dataset_header_only_stations_exit_3(small_campaign_dir, tmp_path, capsys):
+    camp = small_campaign_dir
+    stations = tmp_path / "stations.csv"
+    stations.write_text((camp / "stations.csv").read_text().splitlines()[0] + "\n")
+    code = run(
+        "build-dataset",
+        "--soundings", str(camp / "soundings.csv"),
+        "--stations", str(stations),
+        "--series", str(camp / "station_series.csv"),
+        "--weather", str(camp / "weather.csv"),
+        "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 3
+    assert "(930 soundings, 930 unmatched, 0 stale-weather)" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 # ------------------------------------------------------------ the CLI surface
 
 class _Resolved(Exception):

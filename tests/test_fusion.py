@@ -1,4 +1,5 @@
 import logging
+import re
 from datetime import datetime, timedelta, timezone
 from unittest.mock import patch
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from co2fuse import fusion
+from co2fuse import fusion, ingest
 from co2fuse.errors import (
     DegenerateFeatureError,
     EmptyDatasetError,
@@ -80,11 +81,18 @@ def series_columns(observations):
     )
 
 
+def sounding_columns(soundings):
+    """The latitude, longitude and int64 UTC microsecond time columns of records."""
+    return (np.array([s.location.latitude for s in soundings]),
+            np.array([s.location.longitude for s in soundings]),
+            to_micros([s.time for s in soundings]))
+
+
 def match_one(s, catalog, observations, cfg=MatchConfig()):
     """The batched station match of one sounding: (station_id, co2 of the
     observation, distance), or None when no station qualifies."""
     series = series_columns(observations)
-    (k,), (row,), (dist,) = match_stations([s], catalog, series, cfg)
+    (k,), (row,), (dist,) = match_stations(*sounding_columns([s]), catalog, series, cfg)
     return None if k < 0 else (catalog[k].station_id, series.co2[row], dist)
 
 
@@ -246,6 +254,20 @@ def test_build_dataset_empty_is_error():
         build_dataset(winter, catalog, series, archive)
 
 
+@pytest.mark.parametrize("empty, funnel", [
+    ("catalog", "(10 soundings, 10 unmatched, 0 stale-weather)"),
+    ("soundings", "(0 soundings, 0 unmatched, 0 stale-weather)"),
+], ids=["catalog", "soundings"])
+def test_build_dataset_empty_input_is_error(empty, funnel):
+    soundings, catalog, series, archive = _fixture_inputs()
+    if empty == "catalog":
+        catalog = []
+    else:
+        soundings = []
+    with pytest.raises(EmptyDatasetError, match=re.escape(funnel)):
+        build_dataset(soundings, catalog, series, archive)
+
+
 def test_feature_vector_canonical_order():
     s = sounding(lat=10.0, lon=20.0)
     w = np.array(WEATHER_FIELDS)
@@ -321,6 +343,15 @@ def test_dataset_csv_round_trip(tmp_path):
     assert len(back) == len(ds)
     for name in ("X", "y", "station_id", "time", "distance_km"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
+
+
+def test_dataset_csv_bytes_do_not_depend_on_the_write_blocks(tmp_path):
+    ds = _toy_dataset()
+    fusion.write_dataset(ds, tmp_path / "one.csv")
+    with patch.object(ingest, "_WRITE_BLOCK_ROWS", 3):
+        fusion.write_dataset(ds, tmp_path / "blocks.csv")
+    assert len(ds) > 3
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 @pytest.mark.parametrize("t", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
@@ -473,7 +504,7 @@ def join_campaigns(draw):
     samples += draw(st.lists(st.sampled_from(samples), max_size=2)) if samples else []
 
     ids = draw(st.permutations(["A", "B", "C", "D", "E"]))
-    places = mirror(draw(_places(STATION_STEPS, 4)))
+    places = [] if draw(st.integers(0, 9)) == 0 else mirror(draw(_places(STATION_STEPS, 4)))
     catalog = [Station(sid, at(*place)) for sid, place in zip(ids, places)]
     series = []
     for sid in draw(st.lists(st.sampled_from(ids), max_size=6)):
@@ -482,8 +513,9 @@ def join_campaigns(draw):
     series += draw(st.lists(st.sampled_from(series), max_size=2)) if series else []
 
     # soundings on the mirror centre, on stations and nodes, halfway between
-    # two of them (equal distances along a parallel or meridian) or anywhere
-    sites = places + nodes
+    # two of them (equal distances along a parallel or meridian) or anywhere;
+    # with neither stations nor nodes, the centre stands in for them
+    sites = places + nodes or [(0.0, 0.0)]
     halfway = st.tuples(st.sampled_from(sites), st.sampled_from(sites)).map(
         lambda ab: ((ab[0][0] + ab[1][0]) / 2, (ab[0][1] + ab[1][1]) / 2))
     anywhere = st.tuples(st.sampled_from(SOUNDING_STEPS), st.sampled_from(SOUNDING_STEPS))
@@ -524,7 +556,7 @@ def test_batched_join_matches_per_sounding_oracle(campaign, chunk_rows, caplog):
             weather.append(type(exc))
 
     with patch.object(fusion, "_CHUNK_ROWS", chunk_rows):
-        station, obs, dist = match_stations(soundings, catalog, series, cfg)
+        station, obs, dist = match_stations(*sounding_columns(soundings), catalog, series, cfg)
         X, usable = fusion.weather_features(soundings, archive)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="co2fuse.fusion"):

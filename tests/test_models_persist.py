@@ -139,24 +139,40 @@ def test_trailing_line_after_payload_rejected(tmp_path):
         _load_text(tmp_path, _saved(tmp_path, model) + "garbage\n")
 
 
+# a one-word line that holds no word or a word too many, and a negative count
+BAD_WORDS = [
+    ("{tag}", "'{tag}' line holds 0 words, expected 1"),
+    ("{tag} 2 junk", "'{tag}' line holds 2 words, expected 1"),
+]
+BAD_COUNTS = [("{tag} -3", "negative {tag}"), *BAD_WORDS]
+
+
+def _assert_line_rejected(tmp_path, lines, at, tag, cases):
+    """Each (line, message) case put in place of lines[at] fails to load
+    with that message at that file line."""
+    for line, message in cases:
+        edited = lines[:at] + [line.format(tag=tag)] + lines[at + 1:]
+        with pytest.raises(ModelFormatError, match=f":{at + 1}: " + message.format(tag=tag)):
+            _load_text(tmp_path, "\n".join(edited) + "\n")
+
+
 def test_negative_tree_count_rejected(tmp_path):
     model = train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=3))
     # without its trees, so that no trailing line is left to reject
     lines = _saved(tmp_path, model).splitlines()[:-3]
     assert lines[-1] == "n_trees 3"
-    lines[-1] = "n_trees -3"
-    with pytest.raises(ModelFormatError, match="negative n_trees"):
-        _load_text(tmp_path, "\n".join(lines) + "\n")
+    _assert_line_rejected(tmp_path, lines, len(lines) - 1, "n_trees", BAD_COUNTS)
 
 
-@pytest.mark.parametrize("tag", ["classes", "iterations"])
+@pytest.mark.parametrize("tag", ["classes", "iterations", "decode"])
 def test_negative_catboost_counts_rejected(tmp_path, tag):
     model = train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=2))
     lines = _saved(tmp_path, model).splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
-    lines[at] = f"{tag} -3"
-    with pytest.raises(ModelFormatError, match=f"negative {tag}"):
-        _load_text(tmp_path, "\n".join(lines) + "\n")
+    cases = BAD_WORDS if tag == "decode" else BAD_COUNTS
+    if tag == "classes":  # a catboost model bins into 2 classes at the fewest
+        cases = cases + [("{tag} 0", "classes 0 is below 2"), ("{tag} 1", "classes 1 is below 2")]
+    _assert_line_rejected(tmp_path, lines, at, tag, cases)
 
 
 @pytest.mark.parametrize("feature", [99, 14, -1])
