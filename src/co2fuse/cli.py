@@ -206,8 +206,7 @@ def _train_model(kind, X, y, ns, seed):
         cfg = MlpConfig(
             l2_lambda=ns.l2_lambda, epochs=ns.epochs, batch_size=ns.batch_size, seed=seed, **rate
         )
-        stats = fusion.fit_norm_stats(X)
-        return train_mlp(fusion.standardize(X, stats), y, cfg, norm=stats)
+        return train_mlp(X, y, cfg)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

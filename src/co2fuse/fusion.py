@@ -31,7 +31,6 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (
-    DegenerateFeatureError,
     EmptyDatasetError,
     NoDataError,
     SchemaError,
@@ -108,14 +107,6 @@ class Dataset:
         """The rows a boolean mask selects, or an index array orders."""
         return Dataset(self.X[index], self.y[index], self.station_id[index],
                        self.time[index], self.distance_km[index])
-
-
-@dataclass(frozen=True)
-class NormStats:
-    """Per-feature mean and population standard deviation (training data only)."""
-
-    mean: np.ndarray
-    std: np.ndarray
 
 
 # soundings per block of the distance pass: no soundings-wide matrix is
@@ -337,28 +328,6 @@ def split_by_station(dataset: Dataset, holdout_ids: set[str]) -> tuple[Dataset, 
 def design_matrix(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The (X, y) arrays of a dataset for the model layer."""
     return dataset.X, dataset.y
-
-
-def fit_norm_stats(X: np.ndarray) -> NormStats:
-    """Per-feature mean and population (1/n) standard deviation.
-
-    A constant feature cannot be standardized; that raises
-    DegenerateFeatureError naming the feature.
-    """
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise NoDataError("cannot fit normalization statistics on an empty set")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)  # population convention
-    for i, s in enumerate(std):
-        if s <= 0.0 or not math.isfinite(s):
-            name = FEATURE_NAMES[i] if X.shape[1] == N_FEATURES else f"feature {i}"
-            raise DegenerateFeatureError(f"feature {name!r} is constant on the training data")
-    return NormStats(mean=mean, std=std)
-
-
-def standardize(v: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Z-score one vector or a whole (n, d) matrix."""
-    return (np.asarray(v, dtype=np.float64) - stats.mean) / stats.std
 
 
 DATASET_EXTRA_COLUMNS = ("label_ppm", "station_id", "time_utc", "distance_km")

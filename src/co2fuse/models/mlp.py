@@ -5,9 +5,10 @@ and a single linear output node. The training loss is
 
     L_reg = MSE(batch) + l2_lambda * sum(W**2)
 
-with biases excluded from the penalty. Optimization is mini-batch gradient
-descent with classical momentum; everything is seeded and deterministic.
-The gradients are exposed separately so they can be checked against finite
+with biases excluded from the penalty. The model z-scores its inputs by the
+NormStats of its training rows. Optimization is mini-batch gradient descent
+with classical momentum; everything is seeded and deterministic. The
+gradients are exposed separately so they can be checked against finite
 differences. Prediction and the per-epoch loss run forward over blocks of
 _BLOCK_ROWS rows, with the same bits as one pass over all rows (see the note
 at the constant); training keeps only the activations of its mini-batch.
@@ -15,13 +16,14 @@ at the constant); training keeps only the activations of its mini-batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from ..errors import EmptyDatasetError, TrainingDivergedError
-from ..fusion import NormStats, standardize
+from ..errors import DegenerateFeatureError, EmptyDatasetError, NoDataError, TrainingDivergedError
+from ..fusion import FEATURE_NAMES, N_FEATURES
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 64, 32)
 
@@ -69,6 +71,36 @@ def param_count(input_dim: int, hidden_sizes: Sequence[int], output_dim: int = 1
     """Trainable parameters: sum over layers of n_in * n_out + n_out."""
     sizes = [input_dim, *hidden_sizes, output_dim]
     return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
+
+
+@dataclass(frozen=True)
+class NormStats:
+    """Per-feature mean and population standard deviation (training data only)."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+
+def fit_norm_stats(X: np.ndarray) -> NormStats:
+    """Per-feature mean and population (1/n) standard deviation.
+
+    A constant feature cannot be standardized; that raises
+    DegenerateFeatureError naming the feature.
+    """
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise NoDataError("cannot fit normalization statistics on an empty set")
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)  # population convention
+    for i, s in enumerate(std):
+        if s <= 0.0 or not math.isfinite(s):
+            name = FEATURE_NAMES[i] if X.shape[1] == N_FEATURES else f"feature {i}"
+            raise DegenerateFeatureError(f"feature {name!r} is constant on the training data")
+    return NormStats(mean=mean, std=std)
+
+
+def standardize(v: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Z-score one vector or a whole (n, d) matrix."""
+    return (np.asarray(v, dtype=np.float64) - stats.mean) / stats.std
 
 
 @dataclass
@@ -150,7 +182,7 @@ def loss_and_gradients(
     pred, acts = model.forward(X)
     err = pred - y
     data_loss = float(np.mean(err**2))
-    reg_loss = model.l2_lambda * sum(float(np.sum(w**2)) for w in model.weights)
+    reg_loss = model.l2_lambda * sum(float(np.vdot(w, w)) for w in model.weights)
     loss = data_loss + reg_loss
 
     weight_grads, bias_grads = [], []
@@ -172,21 +204,18 @@ def full_loss(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((model.predict_batch(X) - y) ** 2)) + reg
 
 
-def train_mlp(
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: MlpConfig = MlpConfig(),
-    norm: Optional[NormStats] = None,
-) -> MlpModel:
-    """Train on standardized features; the passed stats are embedded for
-    prediction-time standardization. Raises TrainingDivergedError (naming the
-    epoch) if the loss goes non-finite."""
+def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig = MlpConfig()) -> MlpModel:
+    """Train on raw features: the model keeps their stats, and training reads
+    them z-scored. Raises DegenerateFeatureError for a constant feature (any
+    one-row set) and TrainingDivergedError at a non-finite loss."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train the MLP on an empty set")
     rng = np.random.default_rng(cfg.seed)
     model = init_mlp(X.shape[1], cfg, rng, output_bias=float(y.mean()))
+    norm = fit_norm_stats(X)
+    Z = standardize(X, norm)
     params = model.weights + model.biases
     velocity = [np.zeros_like(p) for p in params]
     n = X.shape[0]
@@ -197,14 +226,15 @@ def train_mlp(
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                _, gw, gb = loss_and_gradients(model, X[batch], y[batch])
+                _, gw, gb = loss_and_gradients(model, Z[batch], y[batch])
                 # rounds as v = momentum * v - lr * g does
                 for p, v, g in zip(params, velocity, gw + gb):
                     v *= cfg.momentum
                     v -= cfg.learning_rate * g
                     p += v
-            # X is standardized already, so the stats go on after the last epoch
-            epoch_loss = full_loss(model, X, y)
+            # the stats go on after the last epoch: z-scoring X per block in
+            # every epoch's loss raised the apply benchmark's peak RSS 3-5 MiB
+            epoch_loss = full_loss(model, Z, y)
             if not np.isfinite(epoch_loss):
                 raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
             model.loss_trace.append(epoch_loss)

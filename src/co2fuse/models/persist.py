@@ -4,7 +4,7 @@ Layout (one logical section per line group):
 
     CO2FUSE-MODEL v1 <kind>
     features <14 space-separated names>
-    normstats none | normstats-mean ... / normstats-std ...
+    normstats none | normstats-mean ... / normstats-std ...   (stats: mlp only)
     <kind-specific payload>
 
 All floats are written with 17 significant digits so save/load round-trips
@@ -20,11 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FeatureOrderError, ModelFormatError
-from ..fusion import FEATURE_NAMES, NormStats
+from ..fusion import FEATURE_NAMES
 from .baseline import LinearModel
 from .category import DECODE_MODES, CatModel
 from .gbt import GbtModel
-from .mlp import MlpModel
+from .mlp import MlpModel, NormStats
 from .trees import tree_from_sexpr, tree_to_sexpr
 
 MAGIC = "CO2FUSE-MODEL"
@@ -150,8 +150,8 @@ def load(path) -> Model:
     are not UTF-8, a negative count, a catboost classes count below 2, a
     count or decode line not of one word, a split on a feature outside the
     canonical list, a number line of the wrong length, a nan or infinite
-    number, a normstats std that is not positive or a line after the payload
-    raise ModelFormatError. Either error starts with ``path:line:``."""
+    number, normstats outside an mlp or with a std <= 0, or a line after the
+    payload raise ModelFormatError. Either error starts with ``path:line:``."""
     r = _LineReader(path)
     try:
         return _read(r)
@@ -178,6 +178,8 @@ def _read(r: _LineReader) -> Model:
 
     norm = None
     if r.next().strip() != "normstats none":
+        if kind != "mlp":
+            raise ModelFormatError(f"expected 'normstats none' in a {kind} model")
         r.pos -= 1
         width = "normstats hold {} features"
         mean = r.floats("normstats-mean", n_features, width)

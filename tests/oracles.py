@@ -323,8 +323,9 @@ def mlp_predict_unblocked(model, X):
 def reference_train_mlp(X, y, cfg):
     """mlp.train_mlp as one pass per layer allocating z = h @ w + b, with one
     velocity list per parameter kind, v = momentum * v - lr * g, and the
-    per-epoch loss from one unblocked pass over all rows. Returns (weights,
-    biases, loss_trace); raises TrainingDivergedError as train_mlp does."""
+    per-epoch loss from one unblocked pass over all rows. X holds the rows
+    already z-scored, which train_mlp does itself. Returns (weights, biases,
+    loss_trace); raises TrainingDivergedError as train_mlp does."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)

@@ -16,9 +16,7 @@ from co2fuse.fusion import (
     MatchConfig,
     build_dataset,
     design_matrix,
-    fit_norm_stats,
     split_by_station,
-    standardize,
 )
 from co2fuse.geo import BoundingBox, GeoPoint, GridSpec
 from co2fuse.importance import _coalition_tables, exact_shapley_row, shapley_attribution
@@ -78,8 +76,7 @@ def bundle():
     X_train, y_train = design_matrix(train)
     X_test, y_test = design_matrix(test)
     baseline = train_baseline(X_train, y_train)
-    stats = fit_norm_stats(X_train)
-    mlp = train_mlp(standardize(X_train, stats), y_train, MlpConfig(seed=1), norm=stats)
+    mlp = train_mlp(X_train, y_train, MlpConfig(seed=1))
     return {
         "cfg": cfg,
         "campaign": campaign,
@@ -280,15 +277,13 @@ def test_11_determinism_and_persistence(bundle, tmp_path):
     with criterion(11, "seeded reruns are byte-identical; round-trips are exact"):
         X, y = bundle["X_train"], bundle["y_train"]
         sub = slice(0, 600)
-        stats = fit_norm_stats(X[sub])
-        Xs = standardize(X[sub], stats)
 
         def builds():
             return [
                 train_baseline(X[sub], y[sub]),
                 train_gbt(X[sub], y[sub], GbtConfig(n_estimators=10)),
                 train_catboost(X[sub], y[sub], CatBoostConfig(iterations=4)),
-                train_mlp(Xs, y[sub], MlpConfig(epochs=4, seed=3), norm=stats),
+                train_mlp(X[sub], y[sub], MlpConfig(epochs=4, seed=3)),
             ]
 
         first, second = builds(), builds()

@@ -509,6 +509,24 @@ def test_diverging_mlp_fit_exits_2_without_a_traceback(workdir, tmp_path):
     assert not (tmp_path / "m").exists()
 
 
+def test_mlp_fit_on_a_constant_feature_exits_2_without_a_traceback(workdir, tmp_path):
+    # the MLP z-scores its inputs, and a constant column has no std
+    lines = (workdir / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    u10 = fusion.FEATURE_NAMES.index("u10")
+    for i in range(1, len(lines)):
+        fields = lines[i].split(",")
+        fields[u10] = "3.25"
+        lines[i] = ",".join(fields)
+    (tmp_path / "d.csv").write_text("".join(lines), encoding="utf-8")
+    done = _run_subprocess("train", "--dataset", str(tmp_path / "d.csv"), "--model", "mlp",
+                           "--epochs", "1", "--out", str(tmp_path / "m"))
+    assert done.returncode == 2, done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith(b"co2fuse: error:")]
+    assert len(errors) == 1 and b"'u10'" in errors[0], done.stderr
+    assert b"Traceback" not in done.stderr
+    assert not (tmp_path / "m").exists()
+
+
 # byte edits of a file: replace, insert or delete one byte, or cut the file
 EDIT = st.tuples(
     st.sampled_from(("replace", "insert", "delete", "truncate")),

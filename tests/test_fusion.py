@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from co2fuse import fusion, ingest
 from co2fuse.errors import (
-    DegenerateFeatureError,
     EmptyDatasetError,
     NoDataError,
     StaleWeatherError,
@@ -19,11 +18,9 @@ from co2fuse.fusion import (
     FEATURE_NAMES,
     MatchConfig,
     build_dataset,
-    fit_norm_stats,
     match_stations,
     nearest_weather,
     split_by_station,
-    standardize,
 )
 from co2fuse.geo import GeoPoint, geodesic_km_many
 from co2fuse.errors import SchemaError
@@ -302,37 +299,6 @@ def test_split_all_held_out_leaves_empty_train():
 def test_split_unknown_id_rejected():
     with pytest.raises(ValueError):
         split_by_station(_toy_dataset(), {"XYZ"})
-
-
-def test_norm_stats_population_convention():
-    X = np.array([[1.0, 5.0], [3.0, 9.0]])
-    stats = fit_norm_stats(X)
-    assert stats.mean == pytest.approx([2.0, 7.0])
-    assert stats.std == pytest.approx([1.0, 2.0])  # 1/n convention
-    z = standardize(X, stats)
-    assert z == pytest.approx(np.array([[-1.0, -1.0], [1.0, 1.0]]))
-    assert standardize(stats.mean, stats) == pytest.approx([0.0, 0.0])
-
-
-def test_norm_stats_single_sample_degenerate():
-    with pytest.raises(DegenerateFeatureError):
-        fit_norm_stats(np.array([[1.0, 2.0]]))
-
-
-def test_norm_stats_names_constant_feature():
-    X = np.random.default_rng(0).normal(size=(10, 14))
-    X[:, 5] = 3.25  # u10 held constant
-    with pytest.raises(DegenerateFeatureError, match="u10"):
-        fit_norm_stats(X)
-
-
-def test_standardized_train_is_centered_unit():
-    rng = np.random.default_rng(2)
-    X = rng.normal(7.0, 3.0, size=(200, 14))
-    stats = fit_norm_stats(X)
-    Z = standardize(X, stats)
-    assert np.abs(Z.mean(axis=0)).max() < 1e-9
-    assert np.abs(Z.std(axis=0) - 1.0).max() < 1e-9
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -8,10 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from co2fuse.errors import TrainingDivergedError
-from co2fuse.fusion import fit_norm_stats, standardize
+from co2fuse.errors import DegenerateFeatureError, TrainingDivergedError
 from co2fuse.models import MlpConfig, param_count, train_mlp
-from co2fuse.models.mlp import full_loss, init_mlp, loss_and_gradients
+from co2fuse.models.mlp import (
+    fit_norm_stats,
+    full_loss,
+    init_mlp,
+    loss_and_gradients,
+    standardize,
+)
 
 from oracles import mlp_predict_unblocked, ols_slope_intercept
 
@@ -137,11 +142,48 @@ def test_config_rejects_nan(field):
     assert MlpConfig(l2_lambda=0.0, momentum=0.0).l2_lambda == 0.0
 
 
+def test_norm_stats_population_convention():
+    X = np.array([[1.0, 5.0], [3.0, 9.0]])
+    stats = fit_norm_stats(X)
+    assert stats.mean == pytest.approx([2.0, 7.0])
+    assert stats.std == pytest.approx([1.0, 2.0])  # 1/n convention
+    z = standardize(X, stats)
+    assert z == pytest.approx(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+    assert standardize(stats.mean, stats) == pytest.approx([0.0, 0.0])
+
+
+def test_norm_stats_single_sample_degenerate():
+    with pytest.raises(DegenerateFeatureError):
+        fit_norm_stats(np.array([[1.0, 2.0]]))
+
+
+def test_norm_stats_names_constant_feature():
+    X = np.random.default_rng(0).normal(size=(10, 14))
+    X[:, 5] = 3.25  # u10 held constant
+    with pytest.raises(DegenerateFeatureError, match="u10"):
+        fit_norm_stats(X)
+
+
+def test_standardized_train_is_centered_unit():
+    rng = np.random.default_rng(2)
+    X = rng.normal(7.0, 3.0, size=(200, 14))
+    stats = fit_norm_stats(X)
+    Z = standardize(X, stats)
+    assert np.abs(Z.mean(axis=0)).max() < 1e-9
+    assert np.abs(Z.std(axis=0) - 1.0).max() < 1e-9
+
+
+def test_train_mlp_refuses_a_one_row_set():
+    # one row holds every feature constant, so no feature can be z-scored
+    with pytest.raises(DegenerateFeatureError, match="'xco2' is constant"):
+        train_mlp(np.full((1, 14), 415.0), np.array([415.0]), MlpConfig(epochs=1))
+
+
 def test_predict_batch_matches_forward_bit_for_bit():
     rng = np.random.default_rng(8)
     X = rng.normal(415, 5, size=(300, 14))
-    stats = fit_norm_stats(X)
-    m = train_mlp(standardize(X, stats), X[:, 0], MlpConfig(epochs=2), norm=stats)
+    m = train_mlp(X, X[:, 0], MlpConfig(epochs=2))
+    stats = fit_norm_stats(X)  # the model keeps the stats of its training rows
     queries = rng.normal(415, 5, size=(1000, 14))
     want = m.forward(standardize(queries, stats))[0]
     assert m.predict_batch(queries).tobytes() == want.tobytes()

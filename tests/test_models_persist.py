@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from co2fuse.errors import FeatureOrderError, ModelFormatError
-from co2fuse.fusion import NormStats, fit_norm_stats, standardize
 from co2fuse.models import (
     CatBoostConfig,
     GbtConfig,
@@ -18,6 +17,7 @@ from co2fuse.models import (
     train_gbt,
     train_mlp,
 )
+from co2fuse.models.mlp import NormStats
 
 rng = np.random.default_rng(12)
 X_TRAIN = rng.normal(415, 5, size=(150, 14))
@@ -25,12 +25,11 @@ Y_TRAIN = X_TRAIN[:, 0] * 0.8 + rng.normal(0, 1, 150) + 80
 
 
 def _all_models():
-    stats = fit_norm_stats(X_TRAIN)
     return [
         train_baseline(X_TRAIN, Y_TRAIN),
         train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=8)),
         train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=4)),
-        train_mlp(standardize(X_TRAIN, stats), Y_TRAIN, MlpConfig(epochs=3), norm=stats),
+        train_mlp(X_TRAIN, Y_TRAIN, MlpConfig(epochs=3)),
     ]
 
 
@@ -105,12 +104,10 @@ def test_linear_predict_value():
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path):
-    stats = fit_norm_stats(X_TRAIN)
-    Xs = standardize(X_TRAIN, stats)
     for i, make in enumerate(
         [
             lambda: train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=6)),
-            lambda: train_mlp(Xs, Y_TRAIN, MlpConfig(epochs=3, seed=4), norm=stats),
+            lambda: train_mlp(X_TRAIN, Y_TRAIN, MlpConfig(epochs=3, seed=4)),
             lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=3)),
         ]
     ):
@@ -210,9 +207,8 @@ def _first_value(tag):
     return lambda text, bad: re.sub(rf"(\n{tag} )\S+", rf"\g<1>{bad}", text, count=1)
 
 
-def _mlp_with_norm():
-    stats = fit_norm_stats(X_TRAIN)
-    return train_mlp(standardize(X_TRAIN, stats), Y_TRAIN, MlpConfig(epochs=1), norm=stats)
+def _trained_mlp():
+    return train_mlp(X_TRAIN, Y_TRAIN, MlpConfig(epochs=1))
 
 
 _NON_FINITE_EDITS = {
@@ -220,20 +216,17 @@ _NON_FINITE_EDITS = {
     "gbt-threshold": (
         lambda: train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=2)), _first_threshold
     ),
-    "mlp-weight": (
-        lambda: train_mlp(standardize(X_TRAIN, fit_norm_stats(X_TRAIN)), Y_TRAIN, MlpConfig(epochs=1)),
-        _first_weight,
-    ),
+    "mlp-weight": (_trained_mlp, _first_weight),
     "catboost-leaf": (
         lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=1)), _first_leaf
     ),
     "baseline-slope": (lambda: train_baseline(X_TRAIN, Y_TRAIN), _first_value("slope")),
-    "normstats-mean": (_mlp_with_norm, _first_value("normstats-mean")),
+    "normstats-mean": (_trained_mlp, _first_value("normstats-mean")),
     "catboost-edges": (
         lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=1)),
         _first_value("edges"),
     ),
-    "mlp-bias": (_mlp_with_norm, _first_value(r"b \d+")),
+    "mlp-bias": (_trained_mlp, _first_value(r"b \d+")),
 }
 
 
@@ -251,8 +244,8 @@ def test_non_finite_model_float_rejected(tmp_path, target, bad):
 def _widened_mlp(part):
     """A trained MLP with 13 inputs, 2 outputs or 13-wide normstats, each
     file otherwise consistent."""
-    stats = fit_norm_stats(X_TRAIN)
-    model = train_mlp(standardize(X_TRAIN, stats), Y_TRAIN, MlpConfig(epochs=1), norm=stats)
+    model = _trained_mlp()
+    stats = model.norm
     if part == "inputs":
         model.weights[0] = model.weights[0][:13]
     elif part == "outputs":
@@ -277,11 +270,42 @@ def test_model_of_wrong_width_rejected(tmp_path, part, message):
 
 @pytest.mark.parametrize("std", ["0", "-1", "-0"])
 def test_non_positive_normstats_std_rejected(tmp_path, std):
-    text = _saved(tmp_path, _mlp_with_norm())
+    text = _saved(tmp_path, _trained_mlp())
     edited = _first_value("normstats-std")(text, std)
     assert edited != text
     with pytest.raises(ModelFormatError, match=r"edited\.model:4: normstats-std .* not positive"):
         _load_text(tmp_path, edited)
+
+
+_UNSCALED_KINDS = {
+    "baseline": lambda: train_baseline(X_TRAIN, Y_TRAIN),
+    "gbt": lambda: train_gbt(X_TRAIN, Y_TRAIN, GbtConfig(n_estimators=2)),
+    "catboost": lambda: train_catboost(X_TRAIN, Y_TRAIN, CatBoostConfig(iterations=1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNSCALED_KINDS))
+def test_normstats_outside_an_mlp_file_rejected(tmp_path, kind):
+    # only an MLP standardizes its inputs; another kind would ignore the stats
+    normstats = _saved(tmp_path, _trained_mlp()).splitlines()[2:4]
+    text = _saved(tmp_path, _UNSCALED_KINDS[kind]())
+    edited = text.replace("\nnormstats none\n", "\n" + "\n".join(normstats) + "\n")
+    assert edited != text
+    with pytest.raises(ModelFormatError,
+                       match=rf"edited\.model:3: expected 'normstats none' in a {kind} model"):
+        _load_text(tmp_path, edited)
+
+
+def test_mlp_file_without_normstats_loads(tmp_path):
+    # a net built by hand has no stats and reads its input as already z-scored
+    trained = _trained_mlp()
+    model = MlpModel(weights=trained.weights, biases=trained.biases, l2_lambda=0.0)
+    text = _saved(tmp_path, model)
+    assert text.splitlines()[2] == "normstats none"
+    back = _load_text(tmp_path, text)
+    assert back.norm is None
+    queries = np.random.default_rng(5).normal(size=(20, 14))
+    assert predict_batch(back, queries).tobytes() == predict_batch(model, queries).tobytes()
 
 
 def test_model_file_that_is_not_utf8_rejected_at_its_line(tmp_path):

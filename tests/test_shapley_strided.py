@@ -6,9 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from co2fuse.fusion import fit_norm_stats
 from co2fuse.importance import _coalition_tables, exact_shapley_row
-from co2fuse.models.mlp import MlpConfig, init_mlp
+from co2fuse.models.mlp import MlpConfig, fit_norm_stats, init_mlp
 
 from oracles import shapley_row_by_gathers
 
