@@ -43,8 +43,13 @@ from .ingest import (
     StationSeries,
     WeatherArchive,
     _MicrosByText,
+    _Refused,
     _TextByMicros,
+    _canonical_micros,
+    _ids,
     _in_blocks,
+    _loadtxt_blocks,
+    _require,
     csv_errors,
     epoch_years,
     to_micros,
@@ -350,7 +355,36 @@ def read_dataset(path) -> Dataset:
     """Read a dataset.csv written by write_dataset. A wrong header or column
     count, a value that does not parse and a non-finite number are each a
     SchemaError naming the file line of the first bad row. Bytes that are
-    not UTF-8 and CSV syntax errors are a SchemaError naming the file."""
+    not UTF-8 and CSV syntax errors are a SchemaError naming the file.
+
+    Clean canonical files take np.loadtxt's fast path, as the ingest readers
+    do; any other file, and every error, comes from the csv.reader pass."""
+    try:
+        return _canonical_dataset(path)
+    except _Refused:
+        return _csv_dataset(path)
+
+
+_DATASET_RECORD = np.dtype([("X", "f8", (N_FEATURES,)), ("label_ppm", "f8"),
+                            ("station_id", "S32"), ("time_utc", "S21"), ("distance_km", "f8")])
+
+
+def _canonical_dataset(path) -> Dataset:
+    """The fast path of read_dataset."""
+    rows, blocks = _loadtxt_blocks(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, _DATASET_RECORD)
+    X, time = np.empty((rows, N_FEATURES)), np.empty(rows, dtype=np.int64)
+    y, distance_km = np.empty((2, rows))
+    station_id = np.empty(rows, dtype=object)
+    for at, block in blocks:
+        X[at], y[at], distance_km[at] = block["X"], block["label_ppm"], block["distance_km"]
+        _require(np.isfinite(X[at]).all(axis=1) & np.isfinite(y[at]) & np.isfinite(distance_km[at]))
+        station_id[at] = _ids(block["station_id"])
+        time[at] = _canonical_micros(block["time_utc"])
+    return Dataset(X, y, station_id, time, distance_km)
+
+
+def _csv_dataset(path) -> Dataset:
+    """The csv.reader pass of read_dataset."""
     expected = FEATURE_NAMES + DATASET_EXTRA_COLUMNS
     # the returned columns view these buffers: no second copy of the table
     features, labels, distances = array("d"), array("d"), array("d")

@@ -50,6 +50,7 @@ def test_quality_filter_drops_flagged_rows(tmp_path):
     assert len(ingest.read_soundings(path, quality_filter=False)) == 3
 
 
+@pytest.mark.filterwarnings("error")
 def test_empty_file_with_header(tmp_path):
     path = write(tmp_path, "s.csv", SOUNDING_HEADER)
     assert ingest.read_soundings(path) == []
@@ -573,3 +574,30 @@ def test_read_station_series_peak_is_under_twice_its_columns(tmp_path):
     assert len(back) == stations * hours
     kept = sum(a.nbytes for a in (back.station_id, back.time, back.co2))
     assert peak < 2 * kept
+
+
+def test_read_soundings_peak_is_under_one_and_a_fifth_of_its_records(tmp_path):
+    # 20k soundings in shuffled time order, one in ten failing the quality flag
+    n = 20_000
+    rng = np.random.default_rng(0)
+    t0 = datetime(2020, 6, 1, tzinfo=UTC)
+    records = [
+        ingest.SoundingRecord(t0 + timedelta(seconds=s), GeoPoint(lat, lon), xco2, 0.5, flag)
+        for s, lat, lon, xco2, flag in zip(
+            rng.permutation(n).tolist(), rng.uniform(50.0, 60.0, n).tolist(),
+            rng.uniform(5.0, 20.0, n).tolist(), rng.uniform(400.0, 430.0, n).tolist(),
+            (rng.random(n) < 0.1).astype(int).tolist())
+    ]
+    path = tmp_path / "s.csv"
+    ingest.write_soundings(records, path)
+    del records
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = ingest.read_soundings(path)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert 17_000 < len(back) < 19_000
+    # no whole-file table or column set is alive next to the records
+    assert peak < 1.2 * kept
