@@ -165,7 +165,10 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """'YYYY-MM-DDTHH:MM:SSZ' in UTC, the year zero-padded to four digits
+    (strftime's %Y does not pad it on every platform)."""
+    utc = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return utc.isoformat(timespec="seconds") + "Z"
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)

@@ -15,12 +15,22 @@ those get an exact haversine distance and are ranked. Ties break on the
 point content (distance, then latitude, longitude, value), which makes every
 result invariant to the input ordering: PointSet sorts its points once by
 (latitude, longitude, value), and each search ranks its candidates, taken in
-that canonical order, with one stable sort on distance. Points equal in all
-four keys keep their input order.
+that canonical order, on distance. Points equal in all four keys keep their
+input order. The ranking is numpy's default sort, which is the stable sort's
+whenever the first k + 1 sorted distances are all distinct; only when two of
+them are equal is the stable sort run.
+
+A search may be given a bound: a distance within which at least k points
+are known to lie. A great-circle distance is never less than the latitude
+difference, so the k nearest then lie in the band of points whose latitude
+is within the bound (plus _BAND_PAD_KM) of the query's, one contiguous slice
+of the latitude-sorted points, and only that slice is scanned.
 
 A raster, or a whole K x p sweep, ranks each cell once: every (K, p) pair
 reads a prefix of one ranking made for the largest K any pair needs. The
-order is total, so a prefix is exactly the smaller K's result.
+order is total, so a prefix is exactly the smaller K's result. Each cell is
+bounded by the one before it: its K nearest lie within the previous cell's
+K-th distance plus the hop between the two centres (triangle inequality).
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .geo import GeoPoint, GridSpec, cell_centers, geodesic_km_many
+from .geo import EARTH_RADIUS_KM, GeoPoint, GridSpec, cell_centers, geodesic_km_many, haversine_km
 
 # Fig-4-style ablation defaults; None means K = ALL
 DEFAULT_K_LIST: tuple[Optional[int], ...] = (10, 200, 1000, None)
@@ -69,6 +79,12 @@ class KnnParams:
 # its own rounding. Such a point is strictly farther than k others, so the
 # candidates always hold the k nearest and ranking them gives the full scan's.
 _COS_MARGIN = 1e-12
+
+# Padding of a search bound before its latitude band is cut. The candidates
+# picked with _COS_MARGIN lie at most about 9 m beyond the k-th nearest point
+# (1e-12 of cosine at zero angle), and the bound and its conversion to degrees
+# round far below that, so every candidate of the full scan is in the band.
+_BAND_PAD_KM = 1.0
 
 
 def _unit_vectors(lats, lons) -> np.ndarray:
@@ -111,23 +127,44 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.values)
 
-    def k_nearest(self, query: GeoPoint, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Input indices and distances of the k nearest points (content-tie order)."""
+    def k_nearest(
+        self, query: GeoPoint, k: int, *, within_km: Optional[float] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Input indices and distances of the k nearest points (content-tie order).
+
+        `within_km` is an optional bound: a distance from `query` within which
+        at least k points are known to lie. Only the points whose latitude is
+        within that distance (plus _BAND_PAD_KM) of the query's are scanned.
+        """
         n = len(self)
         k = min(k, n)
         if k < n:
+            lo, hi = 0, n
+            if within_km is not None:
+                # a great-circle distance is never less than the latitude
+                # difference, so the k nearest lie in this contiguous band
+                reach = math.degrees((within_km + _BAND_PAD_KM) / EARTH_RADIUS_KM)
+                lo, hi = self.lats.searchsorted((query.latitude - reach, query.latitude + reach))
+                if hi - lo <= k:
+                    lo, hi = 0, n
             # the largest cosines are the nearest points; rank a superset of
             # the k largest by exact distance (see _COS_MARGIN)
-            cos = self.xyz @ _unit_vectors([query.latitude], [query.longitude])[0]
-            kth = np.partition(cos, n - k)[n - k]
-            pos = np.flatnonzero(cos >= kth - _COS_MARGIN)
+            cos = self.xyz[lo:hi] @ _unit_vectors([query.latitude], [query.longitude])[0]
+            kth = np.partition(cos, hi - lo - k)[hi - lo - k]
+            pos = lo + np.flatnonzero(cos >= kth - _COS_MARGIN)
             dist = geodesic_km_many(query, self.lats[pos], self.lons[pos])
         else:
             pos = np.arange(n)
             dist = geodesic_km_many(query, self.lats, self.lons)
         # candidates are in canonical order, so a stable sort on distance
-        # ranks them on (distance, latitude, longitude, value)
-        pick = np.argsort(dist, kind="stable")[:k]
+        # ranks them on (distance, latitude, longitude, value); the faster
+        # default sort gives the same first k when their distances and the
+        # next one's are all distinct
+        rank = np.argsort(dist)
+        head = dist[rank[: k + 1]]
+        if (head[1:] == head[:-1]).any():
+            rank = np.argsort(dist, kind="stable")
+        pick = rank[:k]
         return self.order[pos[pick]], dist[pick]
 
 
@@ -139,6 +176,13 @@ def _weighted_value(dist: np.ndarray, values: np.ndarray, params: KnnParams) -> 
     w = 1.0 / np.maximum(dist, EPSILON_KM) ** params.p
     w = w / w.sum()
     return float(w @ values)
+
+
+def _hops_km(queries: Sequence[GeoPoint]) -> np.ndarray:
+    """Great-circle distance from each query to the next."""
+    lats = np.fromiter((q.latitude for q in queries), np.float64, len(queries))
+    lons = np.fromiter((q.longitude for q in queries), np.float64, len(queries))
+    return haversine_km(lats[:-1], lons[:-1], lats[1:], lons[1:])
 
 
 def _interpolate(
@@ -159,8 +203,14 @@ def _interpolate(
             ranked.append((row, k, params))
     if ranked:
         k_max = max(k for _, k, _ in ranked)
+        hops = _hops_km(queries)
+        within = None
         for col, query in enumerate(queries):
-            idx, dist = ps.k_nearest(query, k_max)
+            idx, dist = ps.k_nearest(query, k_max, within_km=within)
+            if col < len(hops):
+                # the k_max points just found lie within dist[-1] of this
+                # query, so within that plus the hop of the next one
+                within = float(dist[-1] + hops[col])
             values = ps.values[idx]
             for row, k, params in ranked:
                 out[row, col] = _weighted_value(dist[:k], values[:k], params)

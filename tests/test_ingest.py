@@ -363,6 +363,14 @@ def test_timestamp_round_trip():
         ingest.parse_timestamp("2020-01-01T00:00:00")  # no offset
 
 
+@pytest.mark.parametrize("year", [1, 999, 1000, 9999])
+def test_timestamp_round_trip_pads_the_year_to_four_digits(year):
+    t = datetime(year, 6, 15, 12, 30, 5, tzinfo=UTC)
+    text = ingest.format_timestamp(t)
+    assert text == f"{year:04d}-06-15T12:30:05Z"
+    assert ingest.parse_timestamp(text) == t
+
+
 # ------------------------------------------------ readers against DictReader
 
 FLOAT_TEXTS = st.one_of(

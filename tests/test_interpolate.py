@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from co2fuse.errors import EmptyDatasetError
-from co2fuse.geo import BoundingBox, GeoPoint, GridSpec, cell_centers
+from co2fuse.geo import (
+    EARTH_RADIUS_KM,
+    BoundingBox,
+    GeoPoint,
+    GridSpec,
+    cell_centers,
+    haversine_km,
+)
 from co2fuse.interpolate import (
+    _BAND_PAD_KM,
     Grid,
     KnnParams,
     PointSet,
@@ -184,6 +192,64 @@ def test_k_nearest_matches_fullscan_oracle_bit_for_bit(search):
         assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes(), k
 
 
+def _band_size(lats, query, within_km) -> int:
+    """Points whose latitude is within the padded bound of the query's."""
+    reach = math.degrees((within_km + _BAND_PAD_KM) / EARTH_RADIUS_KM)
+    return int((np.abs(np.asarray(lats) - query.latitude) <= reach).sum())
+
+
+@st.composite
+def bounded_searches(draw):
+    """A tie-prone search and an earlier query, not adjacent to it: any query
+    site, a lattice step away from the query, or the query itself (whose own
+    k-th distance is the tightest bound there is)."""
+    (lats, lons, values), query = draw(tie_prone_searches())
+    kind = draw(st.sampled_from(("site", "lattice", "same")))
+    if kind == "site":
+        earlier = GeoPoint(*draw(st.sampled_from(QUERY_SITES)))
+    elif kind == "lattice":
+        dlat, dlon = (0.25 * draw(st.integers(-40, 40)) for _ in range(2))
+        earlier = GeoPoint(float(np.clip(query.latitude + dlat, -90.0, 90.0)),
+                           query.longitude + dlon)
+    else:
+        earlier = query
+    return (lats, lons, values), query, earlier
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_searches())
+def test_k_nearest_with_a_bound_from_an_earlier_query_matches_fullscan(search):
+    # the earlier query's k nearest lie within its k-th distance plus the hop
+    # to this query, so that sum bounds this query's k nearest
+    (lats, lons, values), query, earlier = search
+    ps = PointSet(lats, lons, values)
+    hop = float(haversine_km(earlier.latitude, earlier.longitude,
+                             query.latitude, query.longitude))
+    for k in range(1, len(values) + 1):
+        earlier_dist = fullscan_k_nearest(lats, lons, values, earlier, k)[1]
+        idx, dist = ps.k_nearest(query, k, within_km=float(earlier_dist[-1]) + hop)
+        want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
+        assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes(), k
+        assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes(), k
+
+
+def test_k_nearest_falls_back_to_the_full_scan_when_the_band_holds_k_points():
+    # at the pole a distance is the colatitude, so the band of the query's own
+    # k-th distance holds just the k nearest, unless the k-th ties the next
+    lats = np.array([89.0, 88.5, 88.5, 88.0, 87.0, 80.0, 70.0, -10.0])
+    lons = np.array([0.0, 90.0, -90.0, 45.0, -180.0, 10.0, 20.0, 30.0])
+    values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    ps, query = PointSet(lats, lons, values), GeoPoint(90.0, 0.0)
+    held = []
+    for k in range(1, len(values)):
+        within = float(fullscan_k_nearest(lats, lons, values, query, k)[1][-1])
+        held.append(_band_size(lats, query, within) <= k)
+        idx, dist = ps.k_nearest(query, k, within_km=within)
+        want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
+        assert idx.tobytes() == want_idx.tobytes() and dist.tobytes() == want_dist.tobytes(), k
+    assert any(held) and not all(held)
+
+
 @st.composite
 def tie_prone_sweeps(draw):
     """Tie-prone points, a grid of up to 3 x 3 cells of 0.25 degrees around
@@ -222,6 +288,60 @@ def test_sweep_matches_per_pair_oracle_bit_for_bit(case):
     grids = rasterize_many(points, spec, pairs)
     for params, grid, want in zip(pairs, grids, want_grids):
         assert grid.values.tobytes() == want.tobytes(), params
+
+
+class _BoundsSeen(PointSet):
+    """A PointSet that records the query and bound of every search."""
+
+    def k_nearest(self, query, k, *, within_km=None):
+        self.bounds.append((query, within_km))
+        return super().k_nearest(query, k, within_km=within_km)
+
+
+@st.composite
+def clustered_sweeps(draw):
+    """A few hundred points in tight clusters over a 3 x 4 degree box, with
+    duplicates and 0.05-degree lattice ties, a grid of at least 6 x 8 cells
+    of 0.5 degrees over it, and K up to 45: each cell's bound then cuts a
+    latitude band narrower than the points' extent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform((50.5, 8.5), (52.5, 11.5), (draw(st.integers(3, 8)), 2))
+    tie_values = draw(st.booleans())
+    points = []
+    for _ in range(draw(st.integers(200, 400))):
+        lat, lon = centres[int(rng.integers(len(centres)))]
+        kind = int(rng.integers(4))
+        if kind == 0 and points:
+            lat, lon, _ = points[int(rng.integers(len(points)))]
+        elif kind == 1:
+            lat, lon = lat + 0.05 * int(rng.integers(-4, 5)), lon + 0.05 * int(rng.integers(-4, 5))
+        else:
+            lat, lon = lat + rng.normal(0.0, 0.15), lon + rng.normal(0.0, 0.15)
+        value = float(rng.choice((400.0, 410.0))) if tie_values else float(rng.normal(410, 5))
+        points.append((float(lat), float(lon), value))
+    rows, cols = draw(st.integers(6, 8)), draw(st.integers(8, 10))
+    spec = GridSpec(BoundingBox(50.0, 8.0, 50.0 + 0.5 * rows, 8.0 + 0.5 * cols), 0.5)
+    k_list = draw(st.lists(st.integers(1, 45), min_size=1, max_size=4))
+    p_list = draw(st.lists(st.sampled_from((0.0, 0.05, 1.0, 2.0)), min_size=1, max_size=3))
+    return point_columns(points), spec, k_list, p_list
+
+
+@settings(max_examples=20, deadline=None)
+@given(clustered_sweeps())
+def test_sweep_over_narrow_bands_matches_per_pair_oracle_bit_for_bit(case):
+    columns, spec, k_list, p_list = case
+    want_rows, want_grids = reference_sweep(*columns, spec, k_list, p_list)
+    points = _BoundsSeen(*columns)
+    points.bounds = []
+    rows = sweep(points, spec, k_list, p_list)
+    for row, (_, _, mean, std) in zip(rows, want_rows):
+        assert _bits(row.mean_ppm) == _bits(mean) and _bits(row.std_ppm) == _bits(std), row
+    pairs = [KnnParams(k=k, p=p) for k in k_list for p in p_list]
+    for params, grid, want in zip(pairs, rasterize_many(points, spec, pairs), want_grids):
+        assert grid.values.tobytes() == want.tobytes(), params
+    bands = [_band_size(columns[0], query, within)
+             for query, within in points.bounds if within is not None]
+    assert bands and min(bands) < len(points)
 
 
 def test_convexity_of_estimates():
