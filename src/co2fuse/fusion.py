@@ -45,8 +45,6 @@ from .ingest import (
     _MicrosByText,
     _Refused,
     _TextByMicros,
-    _canonical_micros,
-    _ids,
     _in_blocks,
     _loadtxt_blocks,
     _require,
@@ -365,21 +363,22 @@ def read_dataset(path) -> Dataset:
         return _csv_dataset(path)
 
 
-_DATASET_RECORD = np.dtype([("X", "f8", (N_FEATURES,)), ("label_ppm", "f8"),
-                            ("station_id", "S32"), ("time_utc", "S21"), ("distance_km", "f8")])
+_DATASET_KINDS = ("float",) * (N_FEATURES + 1) + ("id", "time", "float")
 
 
 def _canonical_dataset(path) -> Dataset:
     """The fast path of read_dataset."""
-    rows, blocks = _loadtxt_blocks(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, _DATASET_RECORD)
+    rows, blocks = _loadtxt_blocks(path, FEATURE_NAMES + DATASET_EXTRA_COLUMNS, _DATASET_KINDS)
     X, time = np.empty((rows, N_FEATURES)), np.empty(rows, dtype=np.int64)
     y, distance_km = np.empty((2, rows))
     station_id = np.empty(rows, dtype=object)
-    for at, block in blocks:
-        X[at], y[at], distance_km[at] = block["X"], block["label_ppm"], block["distance_km"]
+    end = 0
+    for read, (*features, label, (texts, of_row), t, distance) in blocks:
+        at = slice(end, end + read)
+        end = at.stop
+        X[at], y[at], distance_km[at], time[at] = np.column_stack(features), label, distance, t
         _require(np.isfinite(X[at]).all(axis=1) & np.isfinite(y[at]) & np.isfinite(distance_km[at]))
-        station_id[at] = _ids(block["station_id"])
-        time[at] = _canonical_micros(block["time_utc"])
+        station_id[at] = np.array(texts, dtype=object)[of_row]
     return Dataset(X, y, station_id, time, distance_km)
 
 

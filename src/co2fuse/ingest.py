@@ -14,19 +14,19 @@ Readers never crash on arbitrary bytes: bad rows are counted and skipped
 station catalog is the exception: it is small and foundational, so any
 invalid row there is a SchemaError.
 
-The soundings, series and weather readers (and fusion.read_dataset) first
-try a fast path for clean canonical files: the header is exactly the one
-above, the bytes are ASCII with no quote, no blank line and no control
-character but the line ends (see `_clean_rows`), and np.loadtxt's C
-tokenizer reads the rows in blocks of _READ_BLOCK_ROWS without a warning
-(see `_loadtxt_blocks`). Timestamps must read 'YYYY-MM-DDTHH:MM:SSZ'; they
-and the value checks are handled as arrays. The fast path keeps a file only
-when every row is well formed, so it drops rows by the quality flag or the
-weather window alone. Anything else it refuses, and the whole file then
-takes the csv.reader pass: each row read as a tuple of its named fields, as
-csv.DictReader would read it (see `_rows`), counted and skipped when
-malformed. That pass is the only source of malformed counts, the corrupt
-gate and line-numbered errors; both paths return the same bits.
+The soundings, series and weather readers each state their row rules once,
+as masks over the typed columns of blocks of at most _READ_BLOCK_ROWS rows
+(see `_read`). np.loadtxt's C tokenizer reads the blocks of a clean
+canonical file: the header is exactly the one above, the bytes are ASCII
+with no quote, no blank line and no control character but the line ends
+(see `_clean_rows`), timestamps read 'YYYY-MM-DDTHH:MM:SSZ' and np.loadtxt
+converts every field without a warning (see `_loadtxt_blocks`). It refuses
+any other file, even partway through, and csv.reader then reads the whole
+file again, each row as csv.DictReader would read it (see `_csv_blocks`).
+Either way the block loop counts the malformed rows, and the corrupt gate
+and log lines follow the last block; both tokenizers give the same bits.
+fusion.read_dataset takes the same fast path; its csv.reader pass raises a
+line-numbered SchemaError instead of counting.
 
 Soundings and stations are lists of records; the station series and the
 weather are numpy columns (`StationSeries`, `WeatherArchive`). The column
@@ -36,11 +36,11 @@ writers format a block of rows at a time.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import operator
 import warnings
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
@@ -301,10 +301,17 @@ def _clean_rows(path, columns: tuple[str, ...]) -> int:
     return rows
 
 
-def _loadtxt_blocks(path, columns: tuple[str, ...], dtype: np.dtype):
+_LOADTXT_FIELDS = {"time": "S21", "float": "f8", "int": "i8", "id": "S32"}
+
+
+def _loadtxt_blocks(path, columns: tuple[str, ...], kinds: tuple[str, ...]):
     """(rows, blocks) of a file with the header `columns`: its number of
-    data rows, and an iterator of (slice, records) for consecutive blocks of
-    them, read by np.loadtxt as `dtype` records.
+    data rows, and an iterator of (rows read, typed columns) for consecutive
+    blocks of at most _READ_BLOCK_ROWS rows, read by np.loadtxt.
+
+    Each column comes out as its kind says: "time" as int64 UTC
+    microseconds, "float" as float64, "int" as int64 and "id" as the block's
+    distinct texts (a list of str) with each row's index into them.
 
     Raises _Refused, at once or while iterating, for a file that
     `_clean_rows` refuses and where np.loadtxt refuses a field or warns.
@@ -312,6 +319,8 @@ def _loadtxt_blocks(path, columns: tuple[str, ...], dtype: np.dtype):
     numpy 1.23-1.26 read an int field of '0.0' as 0 with a
     DeprecationWarning, where int() and later numpy refuse it."""
     rows = _clean_rows(path, columns)
+    dtype = np.dtype([(c, _LOADTXT_FIELDS[kind]) for c, kind in zip(columns, kinds)])
+    typed = {"time": _canonical_micros, "id": _ids}
 
     def blocks():
         with open(path, encoding="utf-8") as fh:
@@ -326,9 +335,54 @@ def _loadtxt_blocks(path, columns: tuple[str, ...], dtype: np.dtype):
                 except (ValueError, Warning) as exc:
                     raise _Refused from exc
                 _require(len(block) == want)
-                yield slice(start, start + want), block
+                yield want, [typed.get(kind, np.asarray)(block[c]) for c, kind in zip(columns, kinds)]
 
     return rows, blocks()
+
+
+def _csv_blocks(path, columns: tuple[str, ...], kinds: tuple[str, ...]):
+    """(rows, blocks) as `_loadtxt_blocks` gives them, read by csv.reader
+    (see `_rows`), but rows is only at least the number of data rows: the
+    file's line count. Ints come out as an object array of int, so that no
+    flag changes its value. A row with a field that does not convert counts
+    in its block's rows read, but is left out of its columns."""
+    with open(path, "rb") as fh:  # CR, LF and CRLF each end a line
+        chunks = iter(lambda: fh.read(_SCAN_BYTES) + fh.readline(), b"")
+        lines = sum(c.count(b"\n") + c.count(b"\r") - c.count(b"\r\n") for c in chunks) + 1
+    micros = _MicrosByText()
+    converters = [{"time": micros.__getitem__, "float": float, "int": int, "id": str}[kind]
+                  for kind in kinds]
+    dtypes = {"time": np.int64, "float": np.float64, "int": object, "id": object}
+
+    def converted(fields):
+        try:
+            return [to(text) for to, text in zip(converters, fields)]
+        except ValueError:
+            return None
+
+    def blocks():
+        parsed = _rows(path, columns)
+        while block := [fields for _, fields in itertools.islice(parsed, _READ_BLOCK_ROWS)]:
+            try:  # a column at a time, as long as every field converts
+                values = [list(map(to, texts)) for to, texts in zip(converters, zip(*block))]
+            except ValueError:
+                rows = [row for row in map(converted, block) if row is not None]
+                values = zip(*rows) if rows else [()] * len(kinds)
+            typed = [np.array(v, dtypes[kind]) for v, kind in zip(values, kinds)]
+            yield len(block), [_coded(c) if kind == "id" else c for c, kind in zip(typed, kinds)]
+
+    return lines, blocks()
+
+
+def _read(path, columns: tuple[str, ...], kinds: tuple[str, ...], consume):
+    """consume(rows, blocks) of np.loadtxt's blocks, or of csv.reader's when
+    np.loadtxt refuses the file, which it may do partway through: so consume
+    changes nothing outside itself, and the readers gate and log only after
+    this returns. rows is at least the number of data rows."""
+    try:
+        return consume(*_loadtxt_blocks(path, columns, kinds))
+    except _Refused:
+        return consume(*_csv_blocks(path, columns, kinds))
 
 
 def _bytes(texts: np.ndarray) -> np.ndarray:
@@ -336,11 +390,21 @@ def _bytes(texts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(texts).view(np.uint8).reshape(-1, texts.dtype.itemsize)
 
 
-def _ids(texts: np.ndarray) -> np.ndarray:
-    """S32 fields as an object array of str; _Refused for a full-width one,
-    which np.loadtxt may have cut short."""
-    _require(_bytes(texts)[:, -1] == 0)
-    return texts.astype(str).astype(object)
+def _ids(texts: np.ndarray):
+    """S32 fields as (their distinct texts as str, each row's index into
+    them); _Refused for a full-width one, which np.loadtxt may have cut
+    short. Only the distinct texts are decoded."""
+    distinct, inverse = np.unique(texts, return_inverse=True)
+    _require(_bytes(distinct)[:, -1] == 0)
+    return distinct.astype(str).tolist(), inverse
+
+
+def _coded(ids: np.ndarray):
+    """An object array of str as `_ids` gives S32 fields, the distinct
+    texts in first-seen order."""
+    code_of: dict[str, int] = {}
+    of_row = np.fromiter((code_of.setdefault(i, len(code_of)) for i in ids), np.int64, len(ids))
+    return list(code_of), of_row
 
 
 _TIME_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)
@@ -390,67 +454,29 @@ def _corrupt_gate(path, total: int, malformed: int, what: str) -> None:
 def read_soundings(path, quality_filter: bool = True) -> list[SoundingRecord]:
     """Read satellite soundings; rows with quality_flag != 0 are dropped when
     quality_filter is set. Returns records sorted by time."""
-    try:
-        records, dropped_quality = _canonical_soundings(path, quality_filter)
-    except _Refused:
-        records, dropped_quality = _csv_soundings(path, quality_filter)
-    if dropped_quality:
-        log.info("%s: dropped %d sounding(s) failing the quality flag", path, dropped_quality)
+
+    def consume(_, blocks):
+        records = []
+        total = valid = 0
+        for read, (t, lat, lon, xco2, unc, flag) in blocks:
+            ok = (_latitudes_ok(lat) & np.isfinite(lon) & (XCO2_PLAUSIBLE_PPM[0] < xco2)
+                  & (xco2 < XCO2_PLAUSIBLE_PPM[1]) & np.isfinite(unc) & (unc >= 0.0))
+            total += read
+            valid += np.count_nonzero(ok)
+            if quality_filter:
+                ok &= flag == 0
+            when = (_EPOCH + micros * _MICROSECOND for micros in t[ok].tolist())
+            points = map(GeoPoint, lat[ok].tolist(), lon[ok].tolist())
+            records += map(SoundingRecord, when, points, *(c[ok].tolist() for c in (xco2, unc, flag)))
+        return records, total, valid
+
+    records, total, valid = _read(path, SOUNDING_COLUMNS, ("time",) + ("float",) * 4 + ("int",),
+                                  consume)
+    _corrupt_gate(path, total, total - valid, "sounding")
+    if valid > len(records):
+        log.info("%s: dropped %d sounding(s) failing the quality flag", path, valid - len(records))
     records.sort(key=lambda r: r.time)
     return records
-
-
-_SOUNDING_RECORD = np.dtype([("time_utc", "S21"), ("latitude_deg", "f8"), ("longitude_deg", "f8"),
-                             ("xco2_ppm", "f8"), ("xco2_uncertainty_ppm", "f8"),
-                             ("quality_flag", "i8")])
-
-
-def _canonical_soundings(path, quality_filter: bool):
-    """The fast path of read_soundings: (records in file order, quality
-    drops). Each block's records are built before the next block is read."""
-    rows, blocks = _loadtxt_blocks(path, SOUNDING_COLUMNS, _SOUNDING_RECORD)
-    records = []
-    for _, block in blocks:
-        lat, lon, xco2, unc = (block[c] for c in SOUNDING_COLUMNS[1:5])
-        _require(_latitudes_ok(lat) & np.isfinite(lon) & np.isfinite(unc) & (unc >= 0.0))
-        _require((XCO2_PLAUSIBLE_PPM[0] < xco2) & (xco2 < XCO2_PLAUSIBLE_PPM[1]))
-        t = _canonical_micros(block["time_utc"])
-        if quality_filter:
-            keep = block["quality_flag"] == 0
-            block, t = block[keep], t[keep]
-        when = (_EPOCH + micros * _MICROSECOND for micros in t.tolist())
-        points = map(GeoPoint, block["latitude_deg"].tolist(), block["longitude_deg"].tolist())
-        rest = (block[c].tolist() for c in SOUNDING_COLUMNS[3:])
-        records += map(SoundingRecord, when, points, *rest)
-    return records, rows - len(records)
-
-
-def _csv_soundings(path, quality_filter: bool):
-    """The csv.reader pass of read_soundings: (records in file order, quality
-    drops), after the corrupt gate."""
-    records = []
-    total = malformed = dropped_quality = 0
-    for _, (t_text, lat, lon, xco2_text, unc_text, flag_text) in _rows(path, SOUNDING_COLUMNS):
-        total += 1
-        try:
-            t = parse_timestamp(t_text)
-            loc = GeoPoint(float(lat), float(lon))
-            xco2 = _finite(float(xco2_text))
-            unc = _finite(float(unc_text))
-            flag = int(flag_text)
-            if not (XCO2_PLAUSIBLE_PPM[0] < xco2 < XCO2_PLAUSIBLE_PPM[1]):
-                raise ValueError(f"xco2 {xco2} outside plausibility band")
-            if unc < 0.0:
-                raise ValueError("negative uncertainty")
-        except ValueError:
-            malformed += 1
-            continue
-        if quality_filter and flag != 0:
-            dropped_quality += 1
-            continue
-        records.append(SoundingRecord(t, loc, xco2, unc, flag))
-    _corrupt_gate(path, total, malformed, "sounding")
-    return records, dropped_quality
 
 
 def read_station_catalog(path) -> list[Station]:
@@ -478,21 +504,36 @@ def read_station_catalog(path) -> list[Station]:
 def read_station_series(path) -> StationSeries:
     """Read hourly station CO2 series, sorted by (station_id, time); gaps are
     fine, duplicates are not."""
-    try:
-        code_of, codes, times, co2s, total, malformed = _canonical_series(path)
-    except _Refused:
-        code_of, codes, times, co2s, total, malformed = _csv_series(path)
+
+    def consume(rows, blocks):
+        # three columns, so that each can go as soon as its sorted copy exists
+        codes, times, co2s = np.empty(rows, np.int64), np.empty(rows, np.int64), np.empty(rows)
+        code_of: dict[str, int] = {}  # stripped station id -> code, in first-seen order
+        total = kept = 0
+        for read, ((texts, of_row), t, co2) in blocks:
+            sids = (text.strip() for text in texts)  # -1 codes an id blank once stripped
+            code = np.array([code_of.setdefault(sid, len(code_of)) if sid else -1 for sid in sids],
+                            dtype=np.int64)[of_row]
+            ok = (code >= 0) & np.isfinite(co2) & (co2 > 0.0)
+            at = slice(kept, kept + np.count_nonzero(ok))
+            codes[at], times[at], co2s[at] = code[ok], t[ok], co2[ok]
+            total += read
+            kept = at.stop
+        return code_of, codes[:kept], times[:kept], co2s[:kept], total
+
+    code_of, codes, times, co2s, total = _read(path, SERIES_COLUMNS, ("id", "time", "float"),
+                                               consume)
     # rank the ids with Python's string order: numpy's <U strings drop
     # trailing NULs
     names = sorted(code_of)
     rank = np.empty(len(names), dtype=np.int64)
     rank[[code_of[sid] for sid in names]] = np.arange(len(names))
-    station = rank[np.frombuffer(codes, dtype=np.int64)]
+    station = rank[codes]
     del codes
-    order = np.lexsort((np.frombuffer(times, dtype=np.int64), station))
+    order = np.lexsort((times, station))
     # each unsorted column goes as soon as its sorted copy exists
     station = station[order]
-    t = np.frombuffer(times, dtype=np.int64)[order]
+    t = times[order]
     del times
     # equal keys keep file order, so each run's later rows are repeats
     repeats = np.flatnonzero((station[1:] == station[:-1]) & (t[1:] == t[:-1])) + 1
@@ -500,58 +541,10 @@ def read_station_series(path) -> StationSeries:
         at = repeats[np.argmin(order[repeats])]  # the first repeat in file order
         raise DuplicateKeyError(f"{path}: duplicate observation {names[station[at]]!r} @ "
                                 f"{_TextByMicros()[int(t[at])]}")
-    _corrupt_gate(path, total, malformed, "series")
-    co2 = np.frombuffer(co2s, dtype=np.float64)[order]
+    _corrupt_gate(path, total, total - len(t), "series")
+    co2 = co2s[order]
     del co2s, order
     return StationSeries(np.array(names, dtype=object)[station], t, co2)
-
-
-_SERIES_RECORD = np.dtype([("station_id", "S32"), ("time_utc", "S21"), ("co2_ppm", "f8")])
-
-
-def _canonical_series(path):
-    """The fast path of read_station_series: (station id -> code, codes,
-    times, CO2 values, rows, 0 malformed), in file order."""
-    rows, blocks = _loadtxt_blocks(path, SERIES_COLUMNS, _SERIES_RECORD)
-    # three buffers, so that each can go as soon as its sorted copy exists
-    codes, times, co2s = (np.empty(rows, dtype=dtype) for dtype in (np.int64, np.int64, float))
-    code_of: dict[str, int] = {}  # stripped station id -> code, in first-seen order
-    for at, block in blocks:
-        co2 = block["co2_ppm"]
-        _require(np.isfinite(co2) & (co2 > 0.0))
-        texts, inverse = np.unique(block["station_id"], return_inverse=True)
-        sids = [sid.strip() for sid in _ids(texts)]
-        _require(all(sids))
-        codes[at] = np.array([code_of.setdefault(sid, len(code_of)) for sid in sids])[inverse]
-        times[at] = _canonical_micros(block["time_utc"])
-        co2s[at] = co2
-    return code_of, codes, times, co2s, rows, 0
-
-
-def _csv_series(path):
-    """The csv.reader pass of read_station_series: (station id -> code,
-    codes, times, CO2 values, rows, malformed rows), in file order."""
-    codes, times, co2s = array("q"), array("q"), array("d")
-    code_of: dict[str, int] = {}  # station id -> code, in first-seen order
-    micros = _MicrosByText()
-    total = malformed = 0
-    for _, (sid, t_text, co2_text) in _rows(path, SERIES_COLUMNS):
-        total += 1
-        try:
-            sid = sid.strip()
-            if not sid:
-                raise ValueError("empty station_id")
-            t = micros[t_text]
-            co2 = _finite(float(co2_text))
-            if co2 <= 0.0:
-                raise ValueError("co2 must be positive")
-        except ValueError:
-            malformed += 1
-            continue
-        codes.append(code_of.setdefault(sid, len(code_of)))
-        times.append(t)
-        co2s.append(co2)
-    return code_of, codes, times, co2s, total, malformed
 
 
 DEFAULT_WEATHER_WINDOW = (time(9, 0), time(15, 0))
@@ -582,76 +575,39 @@ def read_weather(path, window: tuple[time, time] = DEFAULT_WEATHER_WINDOW) -> We
     """Read weather samples, dropping those outside the daily UTC window
     (default 09:00-15:00, both ends inclusive)."""
     lo, hi = map(_day_micros, window)
-    try:
-        *columns, dropped_window = _canonical_weather(path, lo, hi)
-    except _Refused:
-        *columns, dropped_window = _csv_weather(path, lo, hi)
-    if dropped_window:
+
+    def consume(rows, blocks):
+        times, lats, lons = np.empty(rows, np.int64), np.empty(rows), np.empty(rows)
+        values = np.empty((rows, 9))
+        total = valid = kept = 0
+        for read, (t, lat, lon, *fields) in blocks:
+            fields = np.column_stack(fields)
+            tcc = fields[:, -1]
+            ok = (_latitudes_ok(lat) & np.isfinite(lon) & np.isfinite(fields).all(axis=1)
+                  & (tcc >= 0.0) & (tcc <= 1.0))
+            total += read
+            valid += np.count_nonzero(ok)
+            ok &= (lo <= t % _DAY_MICROS) & (t % _DAY_MICROS <= hi)
+            at = slice(kept, kept + np.count_nonzero(ok))
+            times[at], lats[at], lons[at], values[at] = t[ok], lat[ok], lon[ok], fields[ok]
+            kept = at.stop
+        return (times[:kept], lats[:kept], lons[:kept], values[:kept]), total, valid
+
+    (times, lats, lons, values), total, valid = _read(
+        path, WEATHER_COLUMNS, ("time",) + ("float",) * 11, consume)
+    _corrupt_gate(path, total, total - valid, "weather")
+    if valid > len(times):
         log.warning(
             "%s: dropped %d weather sample(s) outside the %s-%s UTC window",
-            path, dropped_window, window[0].strftime("%H:%M"), window[1].strftime("%H:%M"),
+            path, valid - len(times), window[0].strftime("%H:%M"), window[1].strftime("%H:%M"),
         )
-    return WeatherArchive(*columns)
-
-
-_WEATHER_RECORD = np.dtype([("time_utc", "S21"), ("latitude_deg", "f8"),
-                            ("longitude_deg", "f8"), ("values", "f8", (9,))])
-
-
-def _canonical_weather(path, lo: int, hi: int):
-    """The fast path of read_weather: (times, latitudes, normalized
-    longitudes, values, window drops) of the samples at day microseconds
-    lo..hi."""
-    rows, blocks = _loadtxt_blocks(path, WEATHER_COLUMNS, _WEATHER_RECORD)
-    times, lats, lons = np.empty(rows, dtype=np.int64), np.empty(rows), np.empty(rows)
-    values = np.empty((rows, 9))
-    kept = 0
-    for _, block in blocks:
-        tcc = block["values"][:, -1]
-        _require(_latitudes_ok(block["latitude_deg"]) & np.isfinite(block["longitude_deg"]))
-        _require(np.isfinite(block["values"]).all(axis=1) & (tcc >= 0.0) & (tcc <= 1.0))
-        t = _canonical_micros(block["time_utc"])
-        keep = (lo <= t % _DAY_MICROS) & (t % _DAY_MICROS <= hi)
-        block, t = block[keep], t[keep]
-        at = slice(kept, kept + len(t))
-        times[at], lats[at], lons[at], values[at] = (
-            t, block["latitude_deg"], block["longitude_deg"], block["values"])
-        kept += len(t)
-    # longitudes normalized into [-180, 180) as GeoPoint does it
-    lons = np.fmod(lons[:kept] + 180.0, 360.0)
+    # longitudes normalized into [-180, 180) as GeoPoint does it, in place:
+    # a copy would stay alive next to the archive's sorted columns
+    lons += 180.0
+    np.fmod(lons, 360.0, out=lons)
     lons[lons < 0.0] += 360.0
-    return times[:kept], lats[:kept], lons - 180.0, values[:kept], rows - kept
-
-
-def _csv_weather(path, lo: int, hi: int):
-    """The csv.reader pass of read_weather: (times, latitudes, normalized
-    longitudes, values, window drops), after the corrupt gate."""
-    times, lats, lons, values = array("q"), array("d"), array("d"), array("d")
-    micros = _MicrosByText()
-    total = malformed = dropped_window = 0
-    for _, (t_text, lat, lon, *raw) in _rows(path, WEATHER_COLUMNS):
-        total += 1
-        try:
-            t = micros[t_text]
-            loc = GeoPoint(float(lat), float(lon))
-            fields = list(map(float, raw))
-            if not all(map(math.isfinite, fields)):
-                raise ValueError("non-finite value")
-            tcc = fields[-1]
-            if not 0.0 <= tcc <= 1.0:
-                raise ValueError(f"total_cloud_cover {tcc} outside [0, 1]")
-        except ValueError:
-            malformed += 1
-            continue
-        if not lo <= t % _DAY_MICROS <= hi:
-            dropped_window += 1
-            continue
-        times.append(t)
-        lats.append(loc.latitude)
-        lons.append(loc.longitude)
-        values.extend(fields)
-    _corrupt_gate(path, total, malformed, "weather")
-    return times, lats, lons, values, dropped_window
+    lons -= 180.0
+    return WeatherArchive(times, lats, lons, values)
 
 
 def _fmt(x: float) -> str:

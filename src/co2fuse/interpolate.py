@@ -149,7 +149,10 @@ class PointSet:
                     lo, hi = 0, n
             # the largest cosines are the nearest points; rank a superset of
             # the k largest by exact distance (see _COS_MARGIN)
-            cos = self.xyz[lo:hi] @ _unit_vectors([query.latitude], [query.longitude])[0]
+            # the query's unit vector, as _unit_vectors gives it for one point
+            c = np.cos(r := np.radians((query.latitude, query.longitude)))
+            s = np.sin(r)
+            cos = self.xyz[lo:hi] @ (c[0] * c[1], c[0] * s[1], s[0])
             kth = np.partition(cos, hi - lo - k)[hi - lo - k]
             pos = lo + np.flatnonzero(cos >= kth - _COS_MARGIN)
             dist = geodesic_km_many(query, self.lats[pos], self.lons[pos])

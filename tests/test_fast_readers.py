@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from co2fuse import fusion, ingest
-from co2fuse.errors import SchemaError
+from co2fuse.errors import CorruptInputError, SchemaError
 
 from test_ingest import READERS, _outcome
 
@@ -261,6 +261,28 @@ def test_one_station_id_trap_in_a_series(tmp_path, caplog, sid):
             == _outcome(READERS["series"][1], path, {}, caplog))
 
 
+SOUNDING_TRAPS = [*(("t", t) for t in TIME_TRAPS), *(("lon", x) for x in FLOAT_TRAPS),
+                  *(("flag", f) for f in FLAG_TRAPS)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+@pytest.mark.parametrize("field, text", SOUNDING_TRAPS)
+def test_one_trap_among_clean_soundings_in_small_blocks(tmp_path, monkeypatch, caplog,
+                                                         field, text, block_rows):
+    """The trap lands in the second block, or ends the first: a refusal
+    there leaves no record or log line of the abandoned pass behind."""
+    monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", block_rows)
+    test_one_trap_among_clean_soundings(tmp_path, caplog, field, text)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+@pytest.mark.parametrize("sid", ID_TRAPS)
+def test_one_station_id_trap_in_a_series_in_small_blocks(tmp_path, monkeypatch, caplog,
+                                                         sid, block_rows):
+    monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", block_rows)
+    test_one_station_id_trap_in_a_series(tmp_path, caplog, sid)
+
+
 def test_duplicate_series_key_raises_as_the_csv_pass_does(tmp_path, caplog):
     lines = ["station_id,time_utc,co2_ppm", "B,2020-01-01T00:00:00Z,401.0",
              "A,2020-01-01T01:00:00Z,402.0", "B,2020-01-01T00:00:00Z,403.0"]
@@ -365,3 +387,56 @@ def test_weather_window_drops_on_the_fast_path(tmp_path, monkeypatch, caplog):
     assert len(archive) == 2
     assert [r.getMessage() for r in caplog.records] == [
         f"{path}: dropped 2 weather sample(s) outside the 09:00-15:00 UTC window"]
+
+
+# ------------------------------------------------------------ value rules
+
+CLEAN_ROWS = {
+    "soundings": "2019-06-13T1{i}:44:00Z,52.0,9.5,412.5,0.5,0",
+    "series": "A,2020-06-01T1{i}:00:00Z,401.0",
+    "weather": "2020-06-01T1{i}:00:00Z,55.0,13.0,1,1,101000,290,291,1,10,1000,0.5",
+}
+BROKEN_RULES = [
+    ("soundings", "xco2_ppm", "nan"),
+    ("soundings", "latitude_deg", "95"),
+    ("soundings", "xco2_uncertainty_ppm", "-0.1"),
+    ("series", "co2_ppm", "0"),
+    ("series", "station_id", ""),
+    ("series", "station_id", " "),
+    ("weather", "total_cloud_cover", "1.5"),
+]
+
+
+def _broken_file(tmp_path, name, field, text, broken):
+    """A clean canonical file of three rows, the first `broken` of them with
+    `field` set to `text`."""
+    columns = READERS[name][2]
+    rows = [CLEAN_ROWS[name].format(i=i).split(",") for i in range(3)]
+    for row in rows[:broken]:
+        row[columns.index(field)] = text
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes("".join(",".join(row) + "\r\n" for row in [columns, *rows]).encode())
+    return path
+
+
+@pytest.mark.parametrize("name, field, text", BROKEN_RULES)
+def test_a_row_breaking_a_value_rule_stays_on_the_fast_path(tmp_path, monkeypatch, caplog,
+                                                            name, field, text):
+    """A value rule counts its row malformed on the fast path too: the file
+    reads as its DictReader oracle reads it without reaching csv.reader."""
+    path = _broken_file(tmp_path, name, field, text, broken=1)
+    caplog.set_level(logging.INFO, logger="co2fuse.ingest")
+    expected = _outcome(READERS[name][1], path, {}, caplog)
+    what = {"soundings": "sounding"}.get(name, name)
+    assert ("WARNING", f"{path}: skipped 1 malformed {what} row(s) of 3") in expected[1]
+    monkeypatch.setattr(csv, "reader", _no_csv_pass)
+    assert _outcome(READERS[name][0], path, {}, caplog) == expected
+
+
+@pytest.mark.parametrize("name, field, text", BROKEN_RULES)
+def test_a_mostly_malformed_canonical_file_is_corrupt_on_the_fast_path(tmp_path, monkeypatch,
+                                                                       name, field, text):
+    path = _broken_file(tmp_path, name, field, text, broken=2)
+    monkeypatch.setattr(csv, "reader", _no_csv_pass)
+    with pytest.raises(CorruptInputError, match="2 of 3 .* rows malformed"):
+        READERS[name][0](path)
