@@ -21,7 +21,7 @@ two routes that give the same numbers up to rounding:
   (`exact_shapley_row`), which is also the oracle of the leaf sum.
   catboost stays here because its decode is not additive over trees. The
   2^14 imputed rows go to the model as one batch (the MLP predicts it in
-  1,024-row blocks), and each feature's pairs of coalitions without and
+  512-row blocks), and each feature's pairs of coalitions without and
   with it are two strided views of the values, weighted by a vector built
   once per feature count.
 """

@@ -392,11 +392,16 @@ def _bytes(texts: np.ndarray) -> np.ndarray:
 
 def _ids(texts: np.ndarray):
     """S32 fields as (their distinct texts as str, each row's index into
-    them); _Refused for a full-width one, which np.loadtxt may have cut
-    short. Only the distinct texts are decoded."""
-    distinct, inverse = np.unique(texts, return_inverse=True)
+    them), as np.unique gives them; _Refused for a full-width one, which
+    np.loadtxt may have cut short. np.unique sorts only the first row of each
+    run of equal texts, of which a series block sorted by station has one per
+    station, and only the distinct texts are decoded."""
+    head = np.empty(len(texts), dtype=bool)
+    head[:1] = True
+    head[1:] = texts[1:] != texts[:-1]
+    distinct, head_code = np.unique(texts[head], return_inverse=True)
     _require(_bytes(distinct)[:, -1] == 0)
-    return distinct.astype(str).tolist(), inverse
+    return distinct.astype(str).tolist(), head_code[np.cumsum(head) - 1]
 
 
 def _coded(ids: np.ndarray):

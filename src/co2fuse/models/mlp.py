@@ -10,8 +10,14 @@ NormStats of its training rows. Optimization is mini-batch gradient descent
 with classical momentum; everything is seeded and deterministic. The
 gradients are exposed separately so they can be checked against finite
 differences. Prediction and the per-epoch loss run forward over blocks of
-_BLOCK_ROWS rows, with the same bits as one pass over all rows (see the note
-at the constant); training keeps only the activations of its mini-batch.
+_BLOCK_ROWS (512) rows, with the same bits as one pass over all rows (see the
+note at the constant); training keeps only the activations of its mini-batch.
+
+Training keeps every parameter in one flat float64 vector: all weights, layer
+by layer in C order, then all biases (19,649 values for the default net on 14
+features). model.weights and model.biases are views of it, and each
+loss_and_gradients call returns views of one fresh vector of the same layout,
+so that the momentum step is four numpy calls over the whole net.
 """
 
 from __future__ import annotations
@@ -27,20 +33,25 @@ from ..fusion import FEATURE_NAMES, N_FEATURES
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 64, 32)
 
-# rows per block of predict_batch: no activation outgrows about 1,024 x 128
-# float64 (1 MiB), where a 2^14-row Shapley batch in one piece takes 16 MiB.
-# The blocks keep the bits of one pass over all rows:
+# rows per block of predict_batch: no activation outgrows 512 x 128 float64
+# (512 KiB, which stays in a core's L2 cache), where a 2^14-row Shapley batch
+# in one piece takes 16 MiB. The blocks keep the bits of one pass over all
+# rows:
 # - The block is a power of two, so that each starts on a BLAS tile boundary.
 #   The matrix kernel tiles rows in units of its unroll and sums a row of an
 #   edge tile in another order: 777-row blocks moved the last row of a block
-#   by 1 ulp. 1,024-row blocks matched one pass on one BLAS thread at every
-#   row count tried up to 41,000, run on 1 or 2 threads. (One pass on 2
-#   threads itself moves by an ulp at some counts above about 15,000 rows,
-#   where the threads split its rows off the tile grid.)
+#   by 1 ulp. On OpenBLAS's SkylakeX kernels, 512-row blocks run on 1 or 2
+#   threads matched one pass on one thread at each of 2,503 row counts up to
+#   41,000, as the 1,024-row blocks before them did. On 1 thread, the Haswell
+#   kernels matched too. (On 2 threads, one pass over some 15,000 rows or
+#   more moves by an ulp on SkylakeX, and on Haswell so does a block of some
+#   counts from 93 rows up, whatever the block size: 36 of the 2,503 counts
+#   at 512 rows, 42 at 1,024. The threads split those rows off the tile
+#   grid.)
 # - A one-row tail joins the block before it: numpy multiplies a lone row
 #   as a vector, which sums in another order again.
 # A constant, not a setting.
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,17 @@ def init_mlp(
     return MlpModel(weights=weights, biases=biases, l2_lambda=cfg.l2_lambda)
 
 
+def _flat_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of one flat vector shaped like the model's weights, then its
+    biases, laid out in that order."""
+    views = []
+    start = 0
+    for p in model.weights + model.biases:
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    return views[: len(model.weights)], views[len(model.weights) :]
+
+
 def loss_and_gradients(
     model: MlpModel, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -185,12 +207,14 @@ def loss_and_gradients(
     reg_loss = model.l2_lambda * sum(float(np.vdot(w, w)) for w in model.weights)
     loss = data_loss + reg_loss
 
-    weight_grads, bias_grads = [], []
+    weight_grads, bias_grads = _flat_views(np.empty(model.n_params), model)
+    decay = 2.0 * model.l2_lambda
     # dL/d(output), column vector
     delta = (2.0 / n) * err[:, None]
     for i in reversed(range(len(model.weights))):
-        weight_grads.insert(0, acts[i].T @ delta + 2.0 * model.l2_lambda * model.weights[i])
-        bias_grads.insert(0, delta.sum(axis=0))
+        np.matmul(acts[i].T, delta, out=weight_grads[i])
+        weight_grads[i] += decay * model.weights[i]
+        np.add.reduce(delta, axis=0, out=bias_grads[i])
         if i > 0:
             delta = delta @ model.weights[i].T
             delta *= acts[i] > 0.0  # ReLU gate of the upstream layer
@@ -202,6 +226,19 @@ def full_loss(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     X when the model has stats."""
     reg = model.l2_lambda * sum(float(np.sum(w**2)) for w in model.weights)
     return float(np.mean((model.predict_batch(X) - y) ** 2)) + reg
+
+
+def _check_flat(weight_grads, bias_grads, params: np.ndarray) -> None:
+    """That the gradients are views of one flat vector laid out as params,
+    which train_mlp then steps on whole."""
+    flat = weight_grads[0].base
+    ok = flat is not None and flat.shape == params.shape
+    start = 0
+    for g in weight_grads + bias_grads:
+        ok = ok and g.base is flat and g.ctypes.data == flat.ctypes.data + 8 * start
+        start += g.size
+    if not ok:
+        raise RuntimeError("loss_and_gradients returned gradients off the flat layout")
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig = MlpConfig()) -> MlpModel:
@@ -216,8 +253,18 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig = MlpConfig()) -> Mlp
     model = init_mlp(X.shape[1], cfg, rng, output_bias=float(y.mean()))
     norm = fit_norm_stats(X)
     Z = standardize(X, norm)
-    params = model.weights + model.biases
-    velocity = [np.zeros_like(p) for p in params]
+    # on a 64-byte boundary, as is each weight matrix that follows a multiple
+    # of 8 values (all of the default net's): the forward pass of a
+    # mini-batch ran about 15% faster than at a 16-byte offset
+    n_params = model.n_params
+    buf = np.empty(n_params + 7)
+    skip = -buf.ctypes.data % 64 // 8
+    params = buf[skip : skip + n_params]
+    np.concatenate([p.ravel() for p in model.weights + model.biases], out=params)
+    model.weights, model.biases = _flat_views(params, model)
+    velocity = np.zeros_like(params)
+    step = np.empty_like(params)
+    grads = None
     n = X.shape[0]
     # a diverging fit overflows before its loss turns non-finite; the typed
     # error below reports it, not numpy's floating-point warnings
@@ -227,11 +274,14 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig = MlpConfig()) -> Mlp
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 _, gw, gb = loss_and_gradients(model, Z[batch], y[batch])
-                # rounds as v = momentum * v - lr * g does
-                for p, v, g in zip(params, velocity, gw + gb):
-                    v *= cfg.momentum
-                    v -= cfg.learning_rate * g
-                    p += v
+                if grads is None:
+                    _check_flat(gw, gb, params)
+                grads = gw[0].base
+                # rounds as v = momentum * v - lr * g does, array by array
+                velocity *= cfg.momentum
+                np.multiply(grads, cfg.learning_rate, out=step)
+                velocity -= step
+                params += velocity
             # the stats go on after the last epoch: z-scoring X per block in
             # every epoch's loss raised the apply benchmark's peak RSS 3-5 MiB
             epoch_loss = full_loss(model, Z, y)

@@ -13,7 +13,9 @@ grid statistics from its Grid. ``mlp_predict_unblocked`` and
 pass and the strided Shapley sums: they keep the arithmetic of the one-shot
 pass and of the index-gather loop that those replaced. ``reference_train_mlp``
 pins the trainer's weights and loss trace with the unblocked forward pass,
-per-array velocities and allocating updates that the trainer replaced. The
+per-array velocities and allocating updates that the trainer replaced, and
+``reference_loss_and_gradients`` pins one step's loss and gradients with the
+per-layer allocating backward pass that the flat gradient vector replaced. The
 ``reference_read_*`` readers are the csv.DictReader readers that the
 one-pass readers replaced; they parse with the package's timestamp parser
 and GeoPoint, so they pin the readers' results, log lines and errors. The
@@ -369,6 +371,31 @@ def reference_train_mlp(X, y, cfg):
                 raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
             loss_trace.append(loss)
     return weights, biases, loss_trace
+
+
+def reference_loss_and_gradients(model, X, y):
+    """mlp.loss_and_gradients with one allocated array per gradient:
+    acts[i].T @ delta + 2 * l2_lambda * W[i] and delta.sum(axis=0), each
+    prepended to its list, after a forward pass that allocates
+    z = h @ w + b per layer."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    acts = [X]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == len(model.weights) - 1 else np.maximum(z, 0.0))
+    err = acts[-1][:, 0] - y
+    loss = float(np.mean(err**2)) + model.l2_lambda * sum(
+        float(np.vdot(w, w)) for w in model.weights)
+    weight_grads, bias_grads = [], []
+    delta = (2.0 / n) * err[:, None]
+    for i in reversed(range(len(model.weights))):
+        weight_grads.insert(0, acts[i].T @ delta + 2.0 * model.l2_lambda * model.weights[i])
+        bias_grads.insert(0, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (acts[i] > 0.0)
+    return loss, weight_grads, bias_grads
 
 
 def shapley_row_by_gathers(predict_fn, x, mu):

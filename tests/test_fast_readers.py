@@ -341,6 +341,43 @@ def test_canonical_micros_refuse_other_forms(text):
         ingest._canonical_micros(_texts([text]))
 
 
+# ------------------------------------------------------------- station ids
+
+
+def _id_texts(ids):
+    return np.array([i.encode("utf-8") for i in ids], dtype="S32")
+
+
+_STATIONS = [f"ST{i // 64:02d}" for i in range(1024)]  # 16 runs of 64 rows
+ID_BLOCKS = {
+    "sorted": _STATIONS,
+    "shuffled": [str(i) for i in np.random.default_rng(3).permutation(_STATIONS)],
+    "single id": ["ST07"] * 1024,
+    "all distinct": [f"ST{i:04d}" for i in np.random.default_rng(4).permutation(1024)],
+    "repeat after a gap": ["B", "B", "A", "A", "B", "C", "A", "A", "AB", "B"],
+    "one row": ["ST00"],
+}
+
+
+def _assert_ids_code_as_np_unique(texts):
+    distinct, inverse = np.unique(texts, return_inverse=True)
+    got_distinct, got_inverse = ingest._ids(texts)
+    assert got_distinct == distinct.astype(str).tolist()
+    assert got_inverse.dtype == inverse.dtype
+    assert np.array_equal(got_inverse, inverse)
+
+
+@pytest.mark.parametrize("name", ID_BLOCKS)
+def test_ids_code_a_block_as_np_unique_does(name):
+    _assert_ids_code_as_np_unique(_id_texts(ID_BLOCKS[name]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["A", "AB", "B", "ST01", "ST10", "ST1"]), max_size=40))
+def test_ids_code_any_run_pattern_as_np_unique_does(ids):
+    _assert_ids_code_as_np_unique(_id_texts(ids))
+
+
 # -------------------------------------------------------------- refusals
 
 

@@ -13,7 +13,7 @@ def training_runs(draw):
     """A small net and a training set, with a one-row last mini-batch in
     about half of the draws. From 2 rows, the fewest that train_mlp can
     standardize, up to 3,000, where one pass over all rows keeps the bits of
-    1,024-row blocks on 1 or 2 BLAS threads."""
+    512-row blocks on 1 or 2 BLAS threads."""
     batch_size = draw(st.integers(1, 300))
     rows = draw(st.integers(2, 3000))
     if draw(st.booleans()):
@@ -46,8 +46,9 @@ def test_train_mlp_matches_reference_trainer_bit_for_bit(run):
 
 
 def test_five_epochs_of_the_default_net_allocate_under_6_mib():
-    # the per-epoch loss over all 4,000 rows keeps one 1,024-row block's
-    # activations at a time, and each step only its mini-batch's
+    # the per-epoch loss over all 4,000 rows keeps one 512-row block's
+    # activations at a time, and each step only its mini-batch's and one
+    # flat gradient vector
     rng = np.random.default_rng(43)
     X = rng.normal(size=(4000, 14))
     y = 415.0 + X @ rng.normal(size=14)

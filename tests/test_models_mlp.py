@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from co2fuse.errors import DegenerateFeatureError, TrainingDivergedError
 from co2fuse.models import MlpConfig, param_count, train_mlp
@@ -18,7 +19,7 @@ from co2fuse.models.mlp import (
     standardize,
 )
 
-from oracles import mlp_predict_unblocked, ols_slope_intercept
+from oracles import mlp_predict_unblocked, ols_slope_intercept, reference_loss_and_gradients
 
 
 def test_param_count_paper_architecture():
@@ -59,6 +60,47 @@ def test_gradients_match_finite_differences():
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), abs(grad[ix]), 1e-8)
                 assert abs(fd - grad[ix]) / denom < 1e-4
+
+
+@st.composite
+def gradient_steps(draw):
+    """A net of 1 to 3 hidden layers with random biases, and two batches of
+    1 to 64 rows (one row in about a third of the draws)."""
+    cfg = MlpConfig(
+        hidden_sizes=tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))),
+        l2_lambda=draw(st.sampled_from([0.0, 5e-3, 0.37])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    d = draw(st.integers(1, 5))
+    model = init_mlp(d, cfg, rng, output_bias=float(rng.normal()))
+    for b in model.biases:
+        b += rng.normal(scale=0.1, size=b.shape)
+    batches = []
+    for _ in range(2):
+        rows = draw(st.one_of(st.just(1), st.integers(1, 64)))
+        batches.append((rng.normal(size=(rows, d)), rng.normal(size=rows)))
+    return model, batches
+
+
+def _bits(loss, weight_grads, bias_grads):
+    return np.float64(loss).tobytes(), [g.tobytes() for g in weight_grads + bias_grads]
+
+
+@settings(max_examples=100, deadline=None)
+@given(gradient_steps())
+def test_loss_and_gradients_match_the_per_layer_oracle_bit_for_bit(step):
+    model, ((X1, y1), (X2, y2)) = step
+    first = loss_and_gradients(model, X1, y1)
+    assert _bits(*first) == _bits(*reference_loss_and_gradients(model, X1, y1))
+    assert [g.shape for g in first[1]] == [w.shape for w in model.weights]
+    assert [g.shape for g in first[2]] == [b.shape for b in model.biases]
+    kept = _bits(*first)
+    second = loss_and_gradients(model, X2, y2)
+    assert _bits(*second) == _bits(*reference_loss_and_gradients(model, X2, y2))
+    # each call returns arrays of its own: the second leaves the first's as they were
+    assert _bits(*first) == kept
+    assert not any(np.shares_memory(a, b) for a in first[1] + first[2]
+                   for b in second[1] + second[2])
 
 
 def test_zero_weights_loss_is_bias_path_error():
@@ -205,7 +247,7 @@ BLOCK_CASES = [
     (hidden_sizes, with_norm, n)
     for hidden_sizes in ((64, 128, 64, 32), (5, 3, 7))
     for with_norm in (True, False)
-    for n in (0, 1, 7, 1023, 1024, 1025, 2049, 16_384, 23_321)
+    for n in (0, 1, 7, 511, 512, 513, 1023, 1024, 1025, 1537, 2049, 16_384, 23_321)
 ]
 
 
@@ -246,8 +288,9 @@ def test_blocked_predict_matches_one_shot_oracle(one_thread_mismatches, hidden_s
     assert BLOCK_CASES.index((hidden_sizes, with_norm, n)) not in one_thread_mismatches
 
 
-def test_predict_of_a_shapley_batch_allocates_under_4_mib():
-    # one exact-Shapley row sends 2^14 coalitions through the default net
+def test_predict_of_a_shapley_batch_allocates_under_2_mib():
+    # one exact-Shapley row sends 2^14 coalitions through the default net,
+    # 512 rows at a time: about 1.4 MiB at the peak
     model = _random_net((64, 128, 64, 32), with_norm=True)
     X = np.random.default_rng(0).normal(415, 5, size=(1 << 14, 14))
     tracemalloc.start()
@@ -256,7 +299,7 @@ def test_predict_of_a_shapley_batch_allocates_under_4_mib():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2 * 2**20
 
 
 if __name__ == "__main__":
