@@ -39,7 +39,7 @@ from .errors import (
 from .geo import EARTH_RADIUS_KM, haversine_km
 from .ingest import (
     SoundingRecord,
-    Station,
+    StationCatalog,
     StationSeries,
     WeatherArchive,
     _MicrosByText,
@@ -232,7 +232,7 @@ def assemble_features(sounding: SoundingRecord, weather: np.ndarray) -> np.ndarr
 
 def match_stations(
     lat: np.ndarray, lon: np.ndarray, t: np.ndarray,
-    catalog: list[Station], series: StationSeries, cfg: MatchConfig = MatchConfig(),
+    catalog: StationCatalog, series: StationSeries, cfg: MatchConfig = MatchConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match each sounding, given as latitude, longitude and int64 UTC
     microsecond time columns, to the spatially nearest qualifying station.
@@ -246,19 +246,19 @@ def match_stations(
     """
     station, obs = np.full((2, len(t)), -1)
     dist = np.full(len(t), np.nan)
-    if not catalog:
+    if not len(catalog):
         return station, obs, dist
-    # column c of the distance blocks is catalog[order[c]], in station_id order
-    order = np.array(sorted(range(len(catalog)), key=lambda k: catalog[k].station_id))
-    column = {catalog[k].station_id: c for c, k in enumerate(order)}
+    # column c of the distance blocks is station order[c], in Python's str
+    # order of the ids (numpy's <U strings would drop trailing NULs)
+    order = np.argsort(catalog.station_id)
+    column = {sid: c for c, sid in enumerate(catalog.station_id[order].tolist())}
     col = np.fromiter(map(column.get, series.station_id, repeat(-1)), np.int64, len(series))
     # series rows by (column, time), equal times in input order; column c
     # owns by_time[offsets[c]:offsets[c + 1]], rows of other stations lead
     by_time = np.lexsort((series.time, col))
     offsets = np.searchsorted(col, np.arange(len(order) + 1), sorter=by_time)
     times = series.time[by_time]
-    lats = np.array([catalog[k].location.latitude for k in order])
-    lons = np.array([catalog[k].location.longitude for k in order])
+    lats, lons = catalog.latitude[order], catalog.longitude[order]
     for rows, d in _distance_blocks(lat, lon, lats, lons):
         # a station without observations never qualifies
         ok = (d <= cfg.max_distance_km) & (np.diff(offsets) > 0)
@@ -281,7 +281,7 @@ def match_stations(
 
 def build_dataset(
     soundings: list[SoundingRecord],
-    catalog: list[Station],
+    catalog: StationCatalog,
     series: StationSeries,
     archive: WeatherArchive,
     cfg: MatchConfig = MatchConfig(),
@@ -311,11 +311,11 @@ def build_dataset(
             f"{cfg.max_time_minutes} min ({total} soundings, {unmatched} unmatched, "
             f"{stale} stale-weather)"
         )
-    ids = np.array([catalog[k].station_id for k in station[kept]], dtype=object)
-    # rank the ids in Python's string order: numpy's <U strings drop trailing NULs
-    rank = {sid: r for r, sid in enumerate(sorted(set(ids)))}
-    order = np.lexsort((np.array([rank[sid] for sid in ids], dtype=np.int64), t[kept]))
-    return Dataset(X, series.co2[obs[kept]], ids, t[kept], dist[kept]).rows(order)
+    # each station's rank in the id order that match_stations uses
+    rank = np.argsort(np.argsort(catalog.station_id))
+    order = np.lexsort((rank[station[kept]], t[kept]))
+    return Dataset(X, series.co2[obs[kept]], catalog.station_id[station[kept]], t[kept],
+                   dist[kept]).rows(order)
 
 
 def split_by_station(dataset: Dataset, holdout_ids: set[str]) -> tuple[Dataset, Dataset]:

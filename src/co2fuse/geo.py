@@ -108,23 +108,29 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-def geodesic_km_many(origin: GeoPoint, latitudes, longitudes):
-    """Haversine from one origin to arrays of coordinates (vectorized)."""
-    return haversine_km(origin.latitude, origin.longitude, latitudes, longitudes)
+def geodesic_km_many(origin: tuple[float, float], latitudes, longitudes):
+    """Haversine from one (latitude, longitude) origin to arrays of coordinates."""
+    return haversine_km(*origin, latitudes, longitudes)
 
 
-def cell_centers(spec: GridSpec) -> list[GeoPoint]:
-    """Cell centers in row-major order, north to south then west to east.
+def wrap_longitudes(lons: np.ndarray) -> np.ndarray:
+    """Normalize a float64 array of longitudes into [-180, 180) in place, with
+    GeoPoint's arithmetic, and return it."""
+    lons += 180.0
+    np.fmod(lons, 360.0, out=lons)
+    lons[lons < 0.0] += 360.0
+    lons -= 180.0
+    return lons
+
+
+def cell_centers(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(latitudes, longitudes) of the cell centers, row-major: north to south then west to east.
 
     Center latitudes are bbox.south + (i + 0.5) * resolution; all centers lie
     strictly inside the box.
     """
     res = spec.resolution
     nrows, ncols = spec.nrows, spec.ncols
-    centers = []
-    for i in range(nrows):
-        lat = spec.bbox.south + (nrows - 1 - i + 0.5) * res
-        for j in range(ncols):
-            lon = spec.bbox.west + (j + 0.5) * res
-            centers.append(GeoPoint(lat, lon))
-    return centers
+    lats = spec.bbox.south + (nrows - 1 - np.arange(nrows) + 0.5) * res
+    lons = wrap_longitudes(spec.bbox.west + (np.arange(ncols) + 0.5) * res)
+    return np.repeat(lats, ncols), np.tile(lons, nrows)

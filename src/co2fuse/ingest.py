@@ -28,9 +28,9 @@ and log lines follow the last block; both tokenizers give the same bits.
 fusion.read_dataset takes the same fast path; its csv.reader pass raises a
 line-numbered SchemaError instead of counting.
 
-Soundings and stations are lists of records; the station series and the
-weather are numpy columns (`StationSeries`, `WeatherArchive`). The column
-writers format a block of rows at a time.
+Soundings are a list of records; the station catalog, the station series
+and the weather are numpy columns (`StationCatalog`, `StationSeries`,
+`WeatherArchive`). The column writers format a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CorruptInputError, DuplicateKeyError, SchemaError
-from .geo import GeoPoint
+from .geo import GeoPoint, wrap_longitudes
 
 log = logging.getLogger(__name__)
 
@@ -93,13 +93,19 @@ class SoundingRecord:
     quality_flag: int
 
 
-@dataclass(frozen=True, slots=True)
-class Station:
-    """A ground station; station_id is unique within a catalog."""
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class StationCatalog:
+    """The ground stations as columns, in file order: unique station ids (an
+    object array of str), float64 latitudes, longitudes in [-180, 180) and
+    elevations in meters, nan where the catalog gives none."""
 
-    station_id: str
-    location: GeoPoint
-    elevation_m: Optional[float] = None
+    station_id: np.ndarray
+    latitude: np.ndarray
+    longitude: np.ndarray
+    elevation_m: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.station_id)
 
 
 @dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
@@ -207,12 +213,6 @@ def epoch_years(micros: np.ndarray) -> np.ndarray:
     start = year.astype("datetime64[us]").astype(np.int64)
     end = (year + 1).astype("datetime64[us]").astype(np.int64)
     return (year.astype(np.int64) + 1970) + (micros - start) / (end - start)
-
-
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
-        raise ValueError("non-finite value")
-    return x
 
 
 @contextmanager
@@ -484,11 +484,11 @@ def read_soundings(path, quality_filter: bool = True) -> list[SoundingRecord]:
     return records
 
 
-def read_station_catalog(path) -> list[Station]:
+def read_station_catalog(path) -> StationCatalog:
     """Read the station catalog. The catalog is strict: any invalid row is a
-    SchemaError and duplicate ids are a DuplicateKeyError."""
-    stations = []
-    seen: set[str] = set()
+    SchemaError and duplicate ids are a DuplicateKeyError. A row's elevation
+    is nan when its field is blank; a field reading nan is refused."""
+    stations: dict[str, tuple[float, float, float]] = {}  # id -> (lat, lon, elevation)
     for lineno, (sid, lat, lon, raw_elev) in _rows(path, STATION_COLUMNS):
         try:
             sid = sid.strip()
@@ -496,14 +496,16 @@ def read_station_catalog(path) -> list[Station]:
                 raise ValueError("empty station_id")
             loc = GeoPoint(float(lat), float(lon))
             raw_elev = raw_elev.strip()
-            elev = _finite(float(raw_elev)) if raw_elev else None
+            elev = float(raw_elev) if raw_elev else math.nan
+            if raw_elev and not math.isfinite(elev):
+                raise ValueError("non-finite value")
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: invalid station row ({exc})") from exc
-        if sid in seen:
+        if sid in stations:
             raise DuplicateKeyError(f"{path}: duplicate station_id {sid!r}")
-        seen.add(sid)
-        stations.append(Station(sid, loc, elev))
-    return stations
+        stations[sid] = (loc.latitude, loc.longitude, elev)
+    columns = np.array(list(stations.values()), dtype=np.float64).reshape(-1, 3).T.copy()
+    return StationCatalog(np.array(list(stations), dtype=object), *columns)
 
 
 def read_station_series(path) -> StationSeries:
@@ -606,13 +608,8 @@ def read_weather(path, window: tuple[time, time] = DEFAULT_WEATHER_WINDOW) -> We
             "%s: dropped %d weather sample(s) outside the %s-%s UTC window",
             path, valid - len(times), window[0].strftime("%H:%M"), window[1].strftime("%H:%M"),
         )
-    # longitudes normalized into [-180, 180) as GeoPoint does it, in place:
-    # a copy would stay alive next to the archive's sorted columns
-    lons += 180.0
-    np.fmod(lons, 360.0, out=lons)
-    lons[lons < 0.0] += 360.0
-    lons -= 180.0
-    return WeatherArchive(times, lats, lons, values)
+    # in place: a copy would stay alive next to the archive's sorted columns
+    return WeatherArchive(times, lats, wrap_longitudes(lons), values)
 
 
 def _fmt(x: float) -> str:
@@ -635,11 +632,12 @@ def write_soundings(records: Iterable[SoundingRecord], path) -> None:
     ))
 
 
-def write_station_catalog(stations: Iterable[Station], path) -> None:
+def write_station_catalog(catalog: StationCatalog, path) -> None:
+    """Write the stations in their order, a nan elevation as a blank field."""
+    columns = (catalog.station_id, catalog.latitude, catalog.longitude, catalog.elevation_m)
     write_csv(path, STATION_COLUMNS, (
-        [s.station_id, _fmt(s.location.latitude), _fmt(s.location.longitude),
-         "" if s.elevation_m is None else _fmt(s.elevation_m)]
-        for s in stations
+        [sid, _fmt(lat), _fmt(lon), "" if math.isnan(elev) else _fmt(elev)]
+        for sid, lat, lon, elev in zip(*(c.tolist() for c in columns))
     ))
 
 
@@ -680,7 +678,7 @@ def write_weather(archive: WeatherArchive, path) -> None:
 
 __all__ = [
     "SoundingRecord",
-    "Station",
+    "StationCatalog",
     "StationSeries",
     "WeatherArchive",
     "read_soundings",

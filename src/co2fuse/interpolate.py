@@ -100,10 +100,10 @@ class PointSet:
 
     Takes three 1-d columns of equal length and keeps its own copies: finite
     values, latitudes in [-90, 90] and longitudes already in [-180, 180)
-    (GeoPoint normalizes; this does not). `order` maps a canonical position
-    to the point's input index. `lats`, `lons` and the unit vectors `xyz` are
-    in canonical order, for the search; `values` stay in input order, to be
-    read by the indices k_nearest returns.
+    (geo.wrap_longitudes normalizes a column; this does not). `order` maps a
+    canonical position to the point's input index. `lats`, `lons` and the
+    unit vectors `xyz` are in canonical order, for the search; `values` stay
+    in input order, to be read by the indices k_nearest returns.
     """
 
     def __init__(self, lats, lons, values):
@@ -128,11 +128,11 @@ class PointSet:
         return len(self.values)
 
     def k_nearest(
-        self, query: GeoPoint, k: int, *, within_km: Optional[float] = None
+        self, lat: float, lon: float, k: int, *, within_km: Optional[float] = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Input indices and distances of the k nearest points (content-tie order).
+        """Input indices and distances of the k nearest points to (lat, lon) (content-tie order).
 
-        `within_km` is an optional bound: a distance from `query` within which
+        `within_km` is an optional bound: a distance from the query within which
         at least k points are known to lie. Only the points whose latitude is
         within that distance (plus _BAND_PAD_KM) of the query's are scanned.
         """
@@ -144,21 +144,21 @@ class PointSet:
                 # a great-circle distance is never less than the latitude
                 # difference, so the k nearest lie in this contiguous band
                 reach = math.degrees((within_km + _BAND_PAD_KM) / EARTH_RADIUS_KM)
-                lo, hi = self.lats.searchsorted((query.latitude - reach, query.latitude + reach))
+                lo, hi = self.lats.searchsorted((lat - reach, lat + reach))
                 if hi - lo <= k:
                     lo, hi = 0, n
             # the largest cosines are the nearest points; rank a superset of
             # the k largest by exact distance (see _COS_MARGIN)
             # the query's unit vector, as _unit_vectors gives it for one point
-            c = np.cos(r := np.radians((query.latitude, query.longitude)))
+            c = np.cos(r := np.radians((lat, lon)))
             s = np.sin(r)
             cos = self.xyz[lo:hi] @ (c[0] * c[1], c[0] * s[1], s[0])
             kth = np.partition(cos, hi - lo - k)[hi - lo - k]
             pos = lo + np.flatnonzero(cos >= kth - _COS_MARGIN)
-            dist = geodesic_km_many(query, self.lats[pos], self.lons[pos])
+            dist = geodesic_km_many((lat, lon), self.lats[pos], self.lons[pos])
         else:
             pos = np.arange(n)
-            dist = geodesic_km_many(query, self.lats, self.lons)
+            dist = geodesic_km_many((lat, lon), self.lats, self.lons)
         # candidates are in canonical order, so a stable sort on distance
         # ranks them on (distance, latitude, longitude, value); the faster
         # default sort gives the same first k when their distances and the
@@ -181,20 +181,14 @@ def _weighted_value(dist: np.ndarray, values: np.ndarray, params: KnnParams) -> 
     return float(w @ values)
 
 
-def _hops_km(queries: Sequence[GeoPoint]) -> np.ndarray:
-    """Great-circle distance from each query to the next."""
-    lats = np.fromiter((q.latitude for q in queries), np.float64, len(queries))
-    lons = np.fromiter((q.longitude for q in queries), np.float64, len(queries))
-    return haversine_km(lats[:-1], lons[:-1], lats[1:], lons[1:])
-
-
 def _interpolate(
-    ps: PointSet, queries: Sequence[GeoPoint], pairs: Sequence[KnnParams]
+    ps: PointSet, lats: np.ndarray, lons: np.ndarray, pairs: Sequence[KnnParams]
 ) -> np.ndarray:
-    """(len(pairs), len(queries)) interpolated values; each query is ranked
-    once, for the largest K that a pair needs, and every pair reads a prefix."""
+    """(len(pairs), len(lats)) values interpolated at the queries (lats, lons);
+    each query is ranked once, for the largest K that a pair needs, and every
+    pair reads a prefix."""
     n = len(ps)
-    out = np.empty((len(pairs), len(queries)), dtype=np.float64)
+    out = np.empty((len(pairs), len(lats)), dtype=np.float64)
     ks = [n if params.k is None else min(params.k, n) for params in pairs]
     ranked = []
     for row, (k, params) in enumerate(zip(ks, pairs)):
@@ -206,10 +200,11 @@ def _interpolate(
             ranked.append((row, k, params))
     if ranked:
         k_max = max(k for _, k, _ in ranked)
-        hops = _hops_km(queries)
+        # great-circle distance from each query to the next
+        hops = haversine_km(lats[:-1], lons[:-1], lats[1:], lons[1:])
         within = None
-        for col, query in enumerate(queries):
-            idx, dist = ps.k_nearest(query, k_max, within_km=within)
+        for col, (lat, lon) in enumerate(zip(lats.tolist(), lons.tolist())):
+            idx, dist = ps.k_nearest(lat, lon, k_max, within_km=within)
             if col < len(hops):
                 # the k_max points just found lie within dist[-1] of this
                 # query, so within that plus the hop of the next one
@@ -222,7 +217,8 @@ def _interpolate(
 
 def knn_interpolate(points: PointSet, query: GeoPoint, params: KnnParams) -> float:
     """Interpolated ppm value at `query` from the measured points."""
-    return float(_interpolate(points, [query], [params])[0, 0])
+    lats, lons = np.array([query.latitude]), np.array([query.longitude])
+    return float(_interpolate(points, lats, lons, [params])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,7 @@ class Grid:
 
 def rasterize_many(points: PointSet, spec: GridSpec, pairs: Sequence[KnnParams]) -> list[Grid]:
     """One grid per KnnParams pair, every cell ranked once for all of them."""
-    values = _interpolate(points, cell_centers(spec), pairs)
+    values = _interpolate(points, *cell_centers(spec), pairs)
     return [Grid(spec=spec, values=row) for row in values]
 
 
@@ -295,11 +291,11 @@ def sweep(
 
 def write_grid_csv(grid: Grid, path) -> None:
     """Long-form CSV: one row per cell, same order as the values array."""
-    centers = cell_centers(grid.spec)
+    lats, lons = cell_centers(grid.spec)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("latitude_deg,longitude_deg,co2_ppm\n")
-        for c, v in zip(centers, grid.values):
-            fh.write(f"{c.latitude!r},{c.longitude!r},{float(v)!r}\n")
+        for lat, lon, v in zip(lats.tolist(), lons.tolist(), grid.values.tolist()):
+            fh.write(f"{lat!r},{lon!r},{v!r}\n")
 
 
 def write_ascii_grid(grid: Grid, path) -> None:

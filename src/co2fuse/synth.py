@@ -7,9 +7,9 @@ the field at fixed locations with Gaussian noise; satellite transects sample
 it along narrow strips with an additional smooth column offset, mimicking
 the column-versus-ground discrepancy that the context features are supposed
 to explain away. Everything is generated from one seeded RNG, so a campaign
-is byte-reproducible. The series and the weather are built as columns: one
-array per station, and one evaluation of the weather law over the whole
-node grid.
+is byte-reproducible. The station catalog, the series and the weather are
+built as columns: one array per catalog column, one array per station, and
+one evaluation of the weather law over the whole node grid.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geo import BoundingBox, GeoPoint
+from .geo import BoundingBox, GeoPoint, wrap_longitudes
 from .ingest import (
     SoundingRecord,
-    Station,
+    StationCatalog,
     StationSeries,
     WeatherArchive,
     epoch_years,
@@ -70,7 +70,7 @@ class SynthConfig:
 
 class Campaign(NamedTuple):
     soundings: list[SoundingRecord]
-    catalog: list[Station]
+    catalog: StationCatalog
     series: StationSeries
     archive: WeatherArchive
 
@@ -143,43 +143,41 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
     nrows = max(1, int(math.ceil(cfg.n_stations / ncols)))
     cell_lat = (north - south) / nrows
     cell_lon = (east - west) / ncols
-    catalog = []
-    for i in range(cfg.n_stations):
-        r, c = divmod(i, ncols)
-        lat = south + (r + 0.5) * cell_lat + rng.uniform(-0.25, 0.25) * cell_lat
-        lon = west + (c + 0.5) * cell_lon + rng.uniform(-0.25, 0.25) * cell_lon
-        elev = round(float(rng.uniform(0.0, 500.0)), 1)
-        catalog.append(Station(f"ST{i:02d}", GeoPoint(lat, lon), elev))
+    r, c = np.divmod(np.arange(cfg.n_stations), ncols)
+    # each station draws its latitude, longitude and elevation jitter in turn
+    jitter = rng.uniform((-0.25, -0.25, 0.0), (0.25, 0.25, 500.0), size=(cfg.n_stations, 3))
+    catalog = StationCatalog(
+        np.array([f"ST{i:02d}" for i in range(cfg.n_stations)], dtype=object),
+        south + (r + 0.5) * cell_lat + jitter[:, 0] * cell_lat,
+        wrap_longitudes(west + (c + 0.5) * cell_lon + jitter[:, 1] * cell_lon),
+        np.array([round(e, 1) for e in jitter[:, 2].tolist()]),
+    )
 
     # hourly ground series over the whole period, station by station
     n_hours = cfg.days * 24
     hour_micros = to_micros([cfg.start]) + np.arange(n_hours) * _HOUR_MICROS
     hour_years = epoch_years(hour_micros)
     co2 = [
-        _field_from_parts(cfg, st.location.latitude, st.location.longitude, hour_years)
-        + rng.normal(0.0, cfg.noise_std, size=n_hours)
-        for st in catalog
+        _field_from_parts(cfg, lat, lon, hour_years) + rng.normal(0.0, cfg.noise_std, size=n_hours)
+        for lat, lon in zip(catalog.latitude, catalog.longitude)
     ]
-    series = StationSeries(
-        np.repeat(np.array([st.station_id for st in catalog], dtype=object), n_hours),
-        np.tile(hour_micros, len(catalog)),
-        np.concatenate(co2),
-    )
+    series = StationSeries(np.repeat(catalog.station_id, n_hours),
+                           np.tile(hour_micros, len(catalog)), np.concatenate(co2))
 
     # satellite transects: narrow tilted strips passing near a station
     soundings = []
     transect_days = []
     for j in range(cfg.n_transects):
-        st = catalog[j % cfg.n_stations]
+        st_lat, st_lon = catalog.latitude[j % cfg.n_stations], catalog.longitude[j % cfg.n_stations]
         day = int(rng.integers(0, cfg.days))
         transect_days.append(day)
         minute = int(rng.integers(11 * 60, 14 * 60))
         t0 = cfg.start + timedelta(days=day, minutes=minute)
-        center_lon = st.location.longitude + rng.uniform(-0.15, 0.15)
+        center_lon = st_lon + rng.uniform(-0.15, 0.15)
         center_lon = min(max(center_lon, bbox.west + 0.2), bbox.east - 0.2)
         tilt = rng.uniform(-0.05, 0.05)
-        lat_lo = max(bbox.south + 0.02, st.location.latitude - 1.5)
-        lat_hi = min(bbox.north - 0.02, st.location.latitude + 1.5)
+        lat_lo = max(bbox.south + 0.02, st_lat - 1.5)
+        lat_hi = min(bbox.north - 0.02, st_lat + 1.5)
         n_per = cfg.soundings_per_transect
         lats = np.linspace(lat_lo, lat_hi, n_per)
         # cross-track jitter approximating the ~10 km swath width
@@ -187,7 +185,7 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
         noise = rng.normal(0.0, cfg.noise_std, size=n_per)
         uncs = rng.uniform(0.3, 0.8, size=n_per)
         flags = rng.random(size=n_per) < 0.03
-        lons = center_lon + tilt * (lats - st.location.latitude) + jitter
+        lons = center_lon + tilt * (lats - st_lat) + jitter
         times = [t0 + timedelta(seconds=i) for i in range(n_per)]
         years = epoch_years(to_micros(times))
         xco2 = (
@@ -204,7 +202,7 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
 
     # weather on the integer-degree lattice, three samples per transect day,
     # in (time, lat, lon) order; the law sees a node at longitude 180, which
-    # is stored as -180 (GeoPoint's normalization)
+    # is stored as -180 (wrap_longitudes normalizes a copy of the lattice)
     days = np.array(sorted(set(transect_days)))
     hours = (24 * days[:, None] + [9, 12, 15]).ravel()
     lats = np.arange(math.ceil(bbox.south), math.floor(bbox.north) + 1, dtype=np.float64)
@@ -212,8 +210,7 @@ def generate_campaign(cfg: SynthConfig) -> Campaign:
     h, lat, k = (a.ravel() for a in np.meshgrid(hours, lats, np.arange(len(lons)), indexing="ij"))
     t = to_micros([cfg.start]) + h * _HOUR_MICROS
     fields = weather_law(cfg, lat, lons[k], epoch_years(t) % 1.0)
-    stored_lons = np.array([GeoPoint(0.0, lon).longitude for lon in lons.tolist()])
-    archive = WeatherArchive(t, lat, stored_lons[k], np.stack(fields, axis=1))
+    archive = WeatherArchive(t, lat, wrap_longitudes(lons.copy())[k], np.stack(fields, axis=1))
     return Campaign(soundings, catalog, series, archive)
 
 

@@ -8,8 +8,10 @@ tree builder sorts every feature again at every node. The exceptions are
 ``fullscan_k_nearest``, ``reference_sweep`` and the per-sounding join: they
 pin the bits of the library's neighbour search, sweep and sounding join, so
 they measure every distance with the library's own haversine kernel and take
-grid statistics from its Grid. ``mlp_predict_unblocked`` and
-``shapley_row_by_gathers`` likewise pin the bits of the blocked MLP forward
+grid statistics from its Grid. ``reference_cell_centers`` is the per-cell
+GeoPoint loop that the column form of ``cell_centers`` replaced; it pins
+their bits and gives ``reference_sweep`` its cells. ``mlp_predict_unblocked``
+and ``shapley_row_by_gathers`` likewise pin the bits of the blocked MLP forward
 pass and the strided Shapley sums: they keep the arithmetic of the one-shot
 pass and of the index-gather loop that those replaced. ``reference_train_mlp``
 pins the trainer's weights and loss trace with the unblocked forward pass,
@@ -20,8 +22,8 @@ per-layer allocating backward pass that the flat gradient vector replaced. The
 one-pass readers replaced; they parse with the package's timestamp parser
 and GeoPoint, so they pin the readers' results, log lines and errors. The
 last section holds small helpers that only the tests need (point columns,
-tree depth, the synthetic truth at one point, the calendar time of one
-datetime); they call into the package.
+station catalogs and their rows, tree depth, the synthetic truth at one
+point, the calendar time of one datetime); they call into the package.
 """
 
 import bisect
@@ -41,7 +43,7 @@ from co2fuse.errors import (
     StaleWeatherError,
     TrainingDivergedError,
 )
-from co2fuse.geo import GeoPoint, cell_centers, geodesic_km_many
+from co2fuse.geo import GeoPoint, geodesic_km_many
 from co2fuse.interpolate import Grid, PointSet
 
 EARTH_RADIUS_KM = 6371.0
@@ -88,10 +90,25 @@ def naive_knn(points, qlat, qlon, k, p):
     return sum(w * v for w, (_, _, _, v) in zip(weights, chosen)) / total
 
 
+def reference_cell_centers(spec):
+    """GridSpec cell centers as GeoPoints, one cell at a time in row-major
+    order, north to south then west to east."""
+    res = spec.resolution
+    nrows, ncols = spec.nrows, spec.ncols
+    centers = []
+    for i in range(nrows):
+        lat = spec.bbox.south + (nrows - 1 - i + 0.5) * res
+        for j in range(ncols):
+            lon = spec.bbox.west + (j + 0.5) * res
+            centers.append(GeoPoint(lat, lon))
+    return centers
+
+
 def fullscan_k_nearest(lats, lons, values, query, k):
-    """(idx, dist) of the k nearest points by a full scan: every distance,
-    then one sort on (distance, lat, lon, value), stable in index order."""
-    dist = geodesic_km_many(query, lats, lons)
+    """(idx, dist) of the k nearest points to the GeoPoint query by a full
+    scan: every distance, then one sort on (distance, lat, lon, value),
+    stable in index order."""
+    dist = geodesic_km_many((query.latitude, query.longitude), lats, lons)
     pick = np.lexsort((values, lons, lats, dist))[: min(k, len(values))]
     return pick, dist[pick]
 
@@ -110,7 +127,7 @@ def reference_sweep(lats, lons, values, spec, k_list, p_list):
         for p in p_list:
             k_eff = n if k is None else min(k, n)
             cells = []
-            for center in cell_centers(spec):
+            for center in reference_cell_centers(spec):
                 if p == 0.0 and k_eff == n:
                     cells.append(float(np.sort(values).mean()))
                     continue
@@ -244,20 +261,20 @@ def _nearest_in_window(times, items, when, max_seconds):
 
 def reference_match_sounding(sounding, catalog, index, cfg):
     """(station_id, observation row, distance) of the nearest qualifying
-    station, walking stations in (distance, station_id) order; or None."""
-    distances = geodesic_km_many(
-        sounding.location,
-        np.array([s.location.latitude for s in catalog]),
-        np.array([s.location.longitude for s in catalog]),
-    )
+    station of a StationCatalog, walking stations in (distance, station_id)
+    order; or None."""
+    loc = sounding.location
+    distances = geodesic_km_many((loc.latitude, loc.longitude), catalog.latitude,
+                                 catalog.longitude)
+    ids = catalog.station_id.tolist()
     within = np.nonzero(distances <= cfg.max_distance_km)[0]
-    for j in sorted(within, key=lambda j: (distances[j], catalog[j].station_id)):
-        found = index.get(catalog[j].station_id)
+    for j in sorted(within, key=lambda j: (distances[j], ids[j])):
+        found = index.get(ids[j])
         if found is None:
             continue
         hit = _nearest_in_window(*found, sounding.time, cfg.max_time_minutes * 60.0)
         if hit is not None:
-            return catalog[j].station_id, hit[1], float(distances[j])
+            return ids[j], hit[1], float(distances[j])
     return None
 
 
@@ -278,9 +295,9 @@ def reference_nearest_weather(sounding, nodes, stale_km, stale_hours):
     keys, node_samples = nodes
     if not keys:
         raise NoDataError("weather archive is empty")
-    distances = geodesic_km_many(
-        sounding.location, np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
-    )
+    loc = sounding.location
+    distances = geodesic_km_many((loc.latitude, loc.longitude),
+                                 np.array([k[0] for k in keys]), np.array([k[1] for k in keys]))
     dmin = float(distances.min())
     best = None
     for j in np.nonzero(distances == dmin)[0]:
@@ -489,7 +506,8 @@ def reference_read_soundings(path, quality_filter=True):
 
 
 def reference_read_station_catalog(path):
-    """ingest.read_station_catalog on one DictReader dict per row."""
+    """ingest.read_station_catalog on one DictReader dict per row, the
+    StationCatalog columns built from lists of the rows' fields."""
     stations = []
     seen = set()
     for lineno, row in _reference_rows(path, ingest.STATION_COLUMNS):
@@ -499,14 +517,16 @@ def reference_read_station_catalog(path):
                 raise ValueError("empty station_id")
             loc = GeoPoint(float(row["latitude_deg"]), float(row["longitude_deg"]))
             raw_elev = (row.get("elevation_m") or "").strip()
-            elev = _reference_finite(float(raw_elev)) if raw_elev else None
+            elev = _reference_finite(float(raw_elev)) if raw_elev else math.nan
         except (ValueError, TypeError, KeyError) as exc:
             raise SchemaError(f"{path}:{lineno}: invalid station row ({exc})") from exc
         if sid in seen:
             raise DuplicateKeyError(f"{path}: duplicate station_id {sid!r}")
         seen.add(sid)
-        stations.append(ingest.Station(sid, loc, elev))
-    return stations
+        stations.append((sid, loc.latitude, loc.longitude, elev))
+    ids = np.array([s[0] for s in stations], dtype=object)
+    lats, lons, elevs = (np.array([s[i] for s in stations], dtype=np.float64) for i in (1, 2, 3))
+    return ingest.StationCatalog(ids, lats, lons, elevs)
 
 
 def reference_read_station_series(path):
@@ -597,6 +617,27 @@ def point_columns(triples):
 def point_set(triples):
     """PointSet of (lat, lon, value) triples (see point_columns)."""
     return PointSet(*point_columns(triples))
+
+
+def station_catalog(rows):
+    """StationCatalog of (station_id, lat, lon) or (station_id, lat, lon,
+    elevation_m) rows, each location normalized by GeoPoint first and a
+    missing elevation nan, as ingest.read_station_catalog gives them."""
+    rows = [(sid, GeoPoint(float(lat), float(lon)), *elev) for sid, lat, lon, *elev in rows]
+    return ingest.StationCatalog(
+        np.array([sid for sid, _, *_ in rows], dtype=object),
+        np.array([loc.latitude for _, loc, *_ in rows], dtype=np.float64),
+        np.array([loc.longitude for _, loc, *_ in rows], dtype=np.float64),
+        np.array([elev[0] if elev else math.nan for _, _, *elev in rows], dtype=np.float64),
+    )
+
+
+def station_rows(catalog):
+    """A StationCatalog as (station_id, latitude, longitude, elevation_m)
+    tuples, None for a missing (nan) elevation, to compare with ==."""
+    columns = (catalog.station_id, catalog.latitude, catalog.longitude, catalog.elevation_m)
+    return [(sid, lat, lon, None if math.isnan(elev) else elev)
+            for sid, lat, lon, elev in zip(*(c.tolist() for c in columns))]
 
 
 def tree_depth(root):

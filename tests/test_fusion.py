@@ -26,7 +26,6 @@ from co2fuse.geo import GeoPoint, geodesic_km_many
 from co2fuse.errors import SchemaError
 from co2fuse.ingest import (
     SoundingRecord,
-    Station,
     StationSeries,
     WeatherArchive,
     to_micros,
@@ -39,6 +38,7 @@ from oracles import (
     reference_nearest_weather,
     reference_series_index,
     reference_weather_nodes,
+    station_catalog,
 )
 
 UTC = timezone.utc
@@ -90,11 +90,11 @@ def match_one(s, catalog, observations, cfg=MatchConfig()):
     observation, distance), or None when no station qualifies."""
     series = series_columns(observations)
     (k,), (row,), (dist,) = match_stations(*sounding_columns([s]), catalog, series, cfg)
-    return None if k < 0 else (catalog[k].station_id, series.co2[row], dist)
+    return None if k < 0 else (catalog.station_id[k], series.co2[row], dist)
 
 
 def test_match_within_radius_and_window():
-    catalog = [Station("A", GeoPoint(0, 0))]
+    catalog = station_catalog([("A", 0, 0)])
     series = [("A", T0 + timedelta(minutes=10), 415.0)]
     hit = match_one(sounding(lat=0.0, lon=0.10), catalog, series)
     assert hit is not None
@@ -106,23 +106,23 @@ def test_match_within_radius_and_window():
 
 
 def test_no_match_beyond_radius():
-    catalog = [Station("A", GeoPoint(0, 0))]
+    catalog = station_catalog([("A", 0, 0)])
     series = [("A", T0, 415.0)]
     # ~30 km north of the station
     assert match_one(sounding(lat=0.27), catalog, series) is None
 
 
 def test_no_match_outside_time_window():
-    catalog = [Station("A", GeoPoint(0, 0))]
+    catalog = station_catalog([("A", 0, 0)])
     series = [("A", T0 + timedelta(minutes=90), 415.0)]
     assert match_one(sounding(), catalog, series) is None
 
 
 def test_nearest_station_wins():
-    catalog = [
-        Station("FAR", GeoPoint(0.072, 0)),   # ~8 km
-        Station("NEAR", GeoPoint(0.045, 0)),  # ~5 km
-    ]
+    catalog = station_catalog([
+        ("FAR", 0.072, 0),   # ~8 km
+        ("NEAR", 0.045, 0),  # ~5 km
+    ])
     series = [
         ("FAR", T0, 410.0),
         ("NEAR", T0, 420.0),
@@ -131,21 +131,32 @@ def test_nearest_station_wins():
     assert sid == "NEAR" and co2 == 420.0
 
 
-def test_station_distance_tie_breaks_on_id():
-    catalog = [
-        Station("B", GeoPoint(0.05, 0)),
-        Station("A", GeoPoint(-0.05, 0)),  # same distance south
-    ]
-    series = [
-        ("A", T0, 410.0),
-        ("B", T0, 420.0),
-    ]
-    sid, _, _ = match_one(sounding(), catalog, series)
-    assert sid == "A"
+# ids that other string orders put apart from Python's: numpy's <U strings
+# drop the trailing NUL of "A\x00", and "\u00c4" (A with diaeresis) follows
+# "Z" in code point order, where a locale's collation puts it next to "A"
+@pytest.mark.parametrize("larger_first", [True, False])
+@pytest.mark.parametrize("smaller, larger", [("A", "B"), ("A", "A\x00"), ("Z", "\u00c4")])
+def test_station_distance_tie_breaks_on_id(smaller, larger, larger_first):
+    places = [(larger, 0.05, 0), (smaller, -0.05, 0)]  # same distance north and south
+    catalog = station_catalog(places if larger_first else places[::-1])
+    series = [(larger, T0, 410.0), (smaller, T0, 420.0)]
+    assert match_one(sounding(), catalog, series)[:2] == (smaller, 420.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_build_dataset_orders_equal_times_in_python_id_order(reverse):
+    ids = ["A\x00", "\u00c4", "A", "Z"]
+    catalog = station_catalog([(sid, 2.0 * i, 0.0) for i, sid in enumerate(ids)])
+    series = series_columns([(sid, T0, 400.0 + i) for i, sid in enumerate(ids)])
+    archive = numbered_weather([(2.0 * i, 0.0, T0) for i in range(len(ids))])
+    soundings = [sounding(lat=2.0 * i) for i in range(len(ids))]  # one on each station
+    ds = build_dataset(soundings[::-1] if reverse else soundings, catalog, series, archive)
+    assert ds.station_id.tolist() == ["A", "A\x00", "Z", "\u00c4"]
+    assert ds.y.tolist() == [402.0, 400.0, 403.0, 401.0]
 
 
 def test_temporal_tie_prefers_earlier_observation():
-    catalog = [Station("A", GeoPoint(0, 0))]
+    catalog = station_catalog([("A", 0, 0)])
     series = [
         ("A", T0 - timedelta(minutes=30), 401.0),
         ("A", T0 + timedelta(minutes=30), 402.0),
@@ -186,7 +197,7 @@ def test_nearest_weather_errors():
 
 
 def _fixture_inputs():
-    catalog = [Station("A", GeoPoint(0, 0)), Station("B", GeoPoint(2, 2))]
+    catalog = station_catalog([("A", 0, 0), ("B", 2, 2)])
     series = series_columns([
         ("A", T0, 415.0),
         ("B", T0, 418.0),
@@ -258,7 +269,7 @@ def test_build_dataset_empty_is_error():
 def test_build_dataset_empty_input_is_error(empty, funnel):
     soundings, catalog, series, archive = _fixture_inputs()
     if empty == "catalog":
-        catalog = []
+        catalog = station_catalog([])
     else:
         soundings = []
     with pytest.raises(EmptyDatasetError, match=re.escape(funnel)):
@@ -471,7 +482,7 @@ def join_campaigns(draw):
 
     ids = draw(st.permutations(["A", "B", "C", "D", "E"]))
     places = [] if draw(st.integers(0, 9)) == 0 else mirror(draw(_places(STATION_STEPS, 4)))
-    catalog = [Station(sid, at(*place)) for sid, place in zip(ids, places)]
+    catalog = station_catalog([(sid, lat0 + a, lon0 + b) for sid, (a, b) in zip(ids, places)])
     series = []
     for sid in draw(st.lists(st.sampled_from(ids), max_size=6)):
         for seconds in draw(st.lists(st.sampled_from(OBS_SECONDS), min_size=1, max_size=3)):
@@ -492,7 +503,9 @@ def join_campaigns(draw):
             st.tuples(place, st.sampled_from(SOUNDING_SECONDS)), min_size=1, max_size=12)))
     ]
     # one radius is exactly the distance from the centre to a station 0.1 deg north
-    (edge,) = geodesic_km_many(at(0.0, 0.0), np.array([lat0 + 0.1]), np.array([lon0]))
+    centre = at(0.0, 0.0)
+    (edge,) = geodesic_km_many((centre.latitude, centre.longitude), np.array([lat0 + 0.1]),
+                               np.array([lon0]))
     cfg = MatchConfig(max_distance_km=draw(st.sampled_from([float(edge), 15.0, 25.0])),
                       max_time_minutes=draw(st.sampled_from([30.0, 60.0])))
     return soundings, catalog, series, samples, cfg
@@ -533,7 +546,7 @@ def test_batched_join_matches_per_sounding_oracle(campaign, chunk_rows, caplog):
 
     # stations: the station, the input row of the observation and the distance bits
     for i, want in enumerate(stations):
-        got = None if station[i] < 0 else (catalog[station[i]].station_id, obs[i],
+        got = None if station[i] < 0 else (catalog.station_id[station[i]], obs[i],
                                            float(dist[i]))
         assert (got is None) == (want is None)
         if want is not None:

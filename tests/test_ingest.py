@@ -19,7 +19,7 @@ from co2fuse.errors import (
 from co2fuse.geo import GeoPoint
 
 import oracles
-from oracles import to_epoch_years
+from oracles import station_catalog, station_rows, to_epoch_years
 
 UTC = timezone.utc
 
@@ -129,7 +129,14 @@ def test_catalog_error_names_the_file_line_of_the_bad_row(tmp_path):
 def test_catalog_optional_elevation(tmp_path):
     text = "station_id,latitude_deg,longitude_deg,elevation_m\nA,55,13,\n"
     stations = ingest.read_station_catalog(write(tmp_path, "st.csv", text))
-    assert stations[0].elevation_m is None
+    assert station_rows(stations) == [("A", 55.0, 13.0, None)]
+
+
+def test_catalog_refuses_a_nan_elevation(tmp_path):
+    # a blank elevation reads as nan, so a nan text must not read at all
+    text = "station_id,latitude_deg,longitude_deg,elevation_m\nA,55,13,nan\n"
+    with pytest.raises(SchemaError, match=r"st\.csv:2: invalid station row"):
+        ingest.read_station_catalog(write(tmp_path, "st.csv", text))
 
 
 def test_series_gap_accepted(tmp_path):
@@ -190,10 +197,7 @@ def test_round_trip_all_record_types(tmp_path):
         ingest.SoundingRecord(t, GeoPoint(55.123456789, 13.987654321), 412.34567, 0.51, 0),
         ingest.SoundingRecord(t, GeoPoint(-33.5, -70.25), 399.9999999999, 1.25, 2),
     ]
-    stations = [
-        ingest.Station("HTM", GeoPoint(56.0976, 13.4189), 115.0),
-        ingest.Station("X2", GeoPoint(45.0, 7.0), None),
-    ]
+    stations = station_catalog([("HTM", 56.0976, 13.4189, 115.0), ("X2", 45.0, 7.0)])
     series = ingest.StationSeries(
         np.array(["HTM", "X2"], dtype=object), ingest.to_micros([t, t]),
         np.array([415.123456789012, 408.0]),
@@ -209,7 +213,7 @@ def test_round_trip_all_record_types(tmp_path):
     assert ingest.read_soundings(tmp_path / "s.csv", quality_filter=False) == sorted(
         soundings, key=lambda r: r.time
     )
-    assert ingest.read_station_catalog(tmp_path / "st.csv") == stations
+    assert station_rows(ingest.read_station_catalog(tmp_path / "st.csv")) == station_rows(stations)
     back = ingest.read_station_series(tmp_path / "se.csv")
     for name in ("station_id", "time", "co2"):
         assert np.array_equal(getattr(back, name), getattr(series, name))
@@ -346,7 +350,8 @@ def test_readers_never_crash_on_fuzz(tmp_path, content):
             result = reader(path)
         except (Co2FuseError, FileNotFoundError):
             continue
-        assert isinstance(result, (list, ingest.StationSeries, ingest.WeatherArchive))
+        assert isinstance(result, (list, ingest.StationCatalog, ingest.StationSeries,
+                                   ingest.WeatherArchive))
 
 
 def test_epoch_years_midyear():

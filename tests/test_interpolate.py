@@ -186,16 +186,16 @@ def test_k_nearest_matches_fullscan_oracle_bit_for_bit(search):
     (lats, lons, values), query = search
     ps = PointSet(lats, lons, values)
     for k in range(1, len(values) + 1):
-        idx, dist = ps.k_nearest(query, k)
+        idx, dist = ps.k_nearest(query.latitude, query.longitude, k)
         want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
         assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes(), k
         assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes(), k
 
 
-def _band_size(lats, query, within_km) -> int:
-    """Points whose latitude is within the padded bound of the query's."""
+def _band_size(lats, lat, within_km) -> int:
+    """Points whose latitude is within the padded bound of the query's `lat`."""
     reach = math.degrees((within_km + _BAND_PAD_KM) / EARTH_RADIUS_KM)
-    return int((np.abs(np.asarray(lats) - query.latitude) <= reach).sum())
+    return int((np.abs(np.asarray(lats) - lat) <= reach).sum())
 
 
 @st.composite
@@ -227,7 +227,8 @@ def test_k_nearest_with_a_bound_from_an_earlier_query_matches_fullscan(search):
                              query.latitude, query.longitude))
     for k in range(1, len(values) + 1):
         earlier_dist = fullscan_k_nearest(lats, lons, values, earlier, k)[1]
-        idx, dist = ps.k_nearest(query, k, within_km=float(earlier_dist[-1]) + hop)
+        within = float(earlier_dist[-1]) + hop
+        idx, dist = ps.k_nearest(query.latitude, query.longitude, k, within_km=within)
         want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
         assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes(), k
         assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes(), k
@@ -243,8 +244,8 @@ def test_k_nearest_falls_back_to_the_full_scan_when_the_band_holds_k_points():
     held = []
     for k in range(1, len(values)):
         within = float(fullscan_k_nearest(lats, lons, values, query, k)[1][-1])
-        held.append(_band_size(lats, query, within) <= k)
-        idx, dist = ps.k_nearest(query, k, within_km=within)
+        held.append(_band_size(lats, query.latitude, within) <= k)
+        idx, dist = ps.k_nearest(query.latitude, query.longitude, k, within_km=within)
         want_idx, want_dist = fullscan_k_nearest(lats, lons, values, query, k)
         assert idx.tobytes() == want_idx.tobytes() and dist.tobytes() == want_dist.tobytes(), k
     assert any(held) and not all(held)
@@ -291,11 +292,11 @@ def test_sweep_matches_per_pair_oracle_bit_for_bit(case):
 
 
 class _BoundsSeen(PointSet):
-    """A PointSet that records the query and bound of every search."""
+    """A PointSet that records the query latitude and bound of every search."""
 
-    def k_nearest(self, query, k, *, within_km=None):
-        self.bounds.append((query, within_km))
-        return super().k_nearest(query, k, within_km=within_km)
+    def k_nearest(self, lat, lon, k, *, within_km=None):
+        self.bounds.append((lat, within_km))
+        return super().k_nearest(lat, lon, k, within_km=within_km)
 
 
 @st.composite
@@ -339,8 +340,8 @@ def test_sweep_over_narrow_bands_matches_per_pair_oracle_bit_for_bit(case):
     pairs = [KnnParams(k=k, p=p) for k in k_list for p in p_list]
     for params, grid, want in zip(pairs, rasterize_many(points, spec, pairs), want_grids):
         assert grid.values.tobytes() == want.tobytes(), params
-    bands = [_band_size(columns[0], query, within)
-             for query, within in points.bounds if within is not None]
+    bands = [_band_size(columns[0], lat, within)
+             for lat, within in points.bounds if within is not None]
     assert bands and min(bands) < len(points)
 
 
@@ -434,8 +435,8 @@ def test_rasterize_matches_per_cell_oracle():
     spec = GridSpec(BoundingBox(50, 10, 53, 14), 0.4)
     params = KnnParams(k=5, p=1.0)
     grid = rasterize(PointSet(*pts), spec, params)
-    for center, got in zip(cell_centers(spec), grid.values):
-        want = naive_knn(raw, center.latitude, center.longitude, 5, 1.0)
+    for lat, lon, got in zip(*cell_centers(spec), grid.values):
+        want = naive_knn(raw, lat, lon, 5, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
 
 

@@ -9,7 +9,7 @@ from co2fuse import ingest
 from co2fuse.geo import BoundingBox, GeoPoint
 from co2fuse.synth import SynthConfig, generate_campaign, write_campaign
 
-from oracles import to_epoch_years, true_field
+from oracles import station_rows, to_epoch_years, true_field
 
 UTC = timezone.utc
 
@@ -63,7 +63,7 @@ def test_campaign_round_trips_with_zero_malformed(small_campaign, small_campaign
     )
     assert len(soundings) == len(small_campaign.soundings)
     catalog = ingest.read_station_catalog(small_campaign_dir / "stations.csv")
-    assert catalog == small_campaign.catalog
+    assert station_rows(catalog) == station_rows(small_campaign.catalog)
     series = ingest.read_station_series(small_campaign_dir / "station_series.csv")
     assert len(series) == len(small_campaign.series)
     archive = ingest.read_weather(small_campaign_dir / "weather.csv")
